@@ -71,13 +71,17 @@ def materialize_vjoin(
 def fill_null_combos_random(
     vjoin: DataFrame, combos: Combos, *, seed: int = 0
 ) -> DataFrame:
-    """Baseline leftover handling at the tuple level: uniform random combo."""
+    """Baseline leftover handling at the tuple level: uniform random combo.
+
+    The draw hashes the tuple's ``p_id`` with ``seed``, so it does not depend
+    on how Spark partitions or orders the rows.
+    """
     n = len(combos)
     return vjoin.withColumn(
         "combo_id",
         F.when(
             F.col("combo_id").isNull(),
-            F.floor(F.rand(seed) * F.lit(n)).cast("long"),
+            F.pmod(F.xxhash64(F.col("p_id"), F.lit(seed)), F.lit(n)),
         ).otherwise(F.col("combo_id")),
     )
 

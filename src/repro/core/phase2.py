@@ -5,7 +5,9 @@ assigned B-values, since candidate FK sets are disjoint across partitions —
 maps directly onto Spark:
 ``vjoin.groupBy(combo).cogroup(r2.groupBy(combo)).applyInPandas(...)``.
 Each partition independently builds its conflict hypergraph and runs the
-largest-first list coloring (§A.3 notes this parallelism explicitly).
+largest-first list coloring (§A.3 notes this parallelism explicitly). Rows
+are sorted by ``p_id`` first, so the coloring does not depend on the order
+in which Spark delivers them.
 
 Skipped vertices take fresh colors = fresh R2 keys; per-partition key ranges
 are pre-reserved on the driver (a partition can never need more new keys
@@ -14,6 +16,15 @@ than it has tuples), so fresh keys are globally unique without coordination.
 Invalid tuples (no B-assignment possible in phase I) are resolved last on
 the driver: each gets a fresh household whose B-values minimise added CC
 error (the paper's ``solveInvalidTuples`` strategy).
+
+The coloring runs exactly once, as part of the single action that
+materialises the persisted ``R̂1 = R1 ⋈ assignments``. The fresh households
+for ``R̂2`` are read back from that cached ``R̂1``: a fresh key's combo is
+the partition whose reserved key range holds it. The cogroup output itself
+is never cached or acted on: a cached plan keeps all its shuffle
+partitions, so adaptive execution could no longer coalesce the cogroup into
+the single Python worker it runs in now, and the workers' memory would grow
+with the number of cores.
 """
 from __future__ import annotations
 
@@ -44,7 +55,7 @@ def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str):
         if left.empty:
             return pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
         combo_id = int(key[0])
-        lp = left.reset_index(drop=True)
+        lp = left.sort_values("p_id").reset_index(drop=True)
         keys = sorted(int(k) for k in right[r2_key].tolist())
         edges = enumerate_edges(lp, dcs)
         c, _ = color_with_extension(len(lp), edges, keys, bases[combo_id])
@@ -70,7 +81,7 @@ def _random_fn(seed: int, r2_key: str):
         keys = np.sort(right[r2_key].to_numpy())
         return pd.DataFrame(
             {
-                "p_id": left["p_id"].astype(np.int64).to_numpy(),
+                "p_id": np.sort(left["p_id"].to_numpy(np.int64)),
                 "h_id": g.choice(keys, size=len(left)).astype(np.int64),
                 "combo_id": np.int64(combo_id),
             }
@@ -90,17 +101,18 @@ def solve_invalid_tuples(
 
     Returns (assignments[p_id, h_id, combo_id], new_households[h_id,
     combo_id]). A tuple alone in a fresh household cannot violate any
-    Foreign-Key DC (arity ≥ 2), so DC satisfaction is preserved.
+    Foreign-Key DC (arity ≥ 2), so DC satisfaction is preserved. Fresh keys
+    follow ``p_id`` order.
     """
     if invalid_pdf.empty:
-        empty = pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
-        return empty, pd.DataFrame({"h_id": [], "combo_id": []})
+        empty = pd.DataFrame(columns=["p_id", "h_id", "combo_id"], dtype=np.int64)
+        return empty, empty[["h_id", "combo_id"]]
     scorer = _Scorer(ccs, binning, combos)
     combo_ids = combos.table["combo_id"].tolist()
     rows = []
     news = []
     nxt = fresh_start
-    for _, t in invalid_pdf.iterrows():
+    for _, t in invalid_pdf.sort_values("p_id").iterrows():
         b = int(t["bin_id"])
         best = min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
         rows.append((int(t["p_id"]), nxt, int(best)))
@@ -114,6 +126,7 @@ def solve_invalid_tuples(
 
 def complete_fk(
     spark: SparkSession,
+    r1_df: DataFrame,
     vjoin_df: DataFrame,
     r2_with_combo: DataFrame,
     r2_df: DataFrame,
@@ -122,22 +135,25 @@ def complete_fk(
     dcs: list[DC],
     ccs: list[CC],
     *,
+    sizes: dict[int, int],
+    max_key: int,
     strategy: str = "coloring",
+    r1_key: str = "p_id",
     r2_key: str = "h_id",
+    fk: str = "h_id",
     seed: int = 0,
 ) -> tuple[DataFrame, DataFrame]:
-    """Run Algorithm 4. Returns (assignments[p_id, h_id], r2_hat).
+    """Run Algorithm 4. Returns (r1_hat, r2_hat); ``r1_hat`` is persisted.
 
-    ``vjoin_df`` must carry ``p_id``, the R1 attributes, ``bin_id`` and a
-    non-null ``combo_id`` (INVALID_COMBO for invalid tuples).
+    ``r1_df`` is R1 keyed by ``p_id``; ``r1_hat`` is R1 plus the ``fk``
+    column, keyed by ``r1_key``. ``vjoin_df`` must carry ``p_id``, the R1
+    attributes, ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for
+    invalid tuples); ``sizes`` is its row count per ``combo_id`` and
+    ``max_key`` the largest key in ``r2_df``.
     """
-    valid = vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)
-    sizes = {
-        int(r["combo_id"]): int(r["n"])
-        for r in valid.groupBy("combo_id").agg(F.count("*").alias("n")).collect()
-    }
-    max_key = r2_df.agg(F.max(r2_key)).collect()[0][0] or 0
-    bases = _key_bases(sizes, int(max_key))
+    valid_sizes = {c: n for c, n in sizes.items() if c != INVALID_COMBO}
+    bases = _key_bases(valid_sizes, max_key)
+    fresh_start = max_key + 1 + sum(valid_sizes.values())
 
     fn = (
         _coloring_fn(dcs, bases, r2_key)
@@ -145,51 +161,66 @@ def complete_fk(
         else _random_fn(seed, r2_key)
     )
     assign = (
-        valid.groupBy("combo_id")
+        vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)
+        .groupBy("combo_id")
         .cogroup(r2_with_combo.groupBy("combo_id"))
         .applyInPandas(fn, "p_id long, h_id long, combo_id long")
+        .select("p_id", "h_id")
     )
 
-    invalid_pdf = (
-        vjoin_df.filter(F.col("combo_id") == INVALID_COMBO)
-        .select("p_id", "bin_id")
-        .toPandas()
-    )
-    fresh_start = (max(bases.values()) + max(sizes.values())) if bases else int(max_key) + 1
+    invalid_pdf = pd.DataFrame({"p_id": [], "bin_id": []})
+    if sizes.get(INVALID_COMBO):
+        invalid_pdf = (
+            vjoin_df.filter(F.col("combo_id") == INVALID_COMBO)
+            .select("p_id", "bin_id")
+            .toPandas()
+        )
     inv_assign, inv_new = solve_invalid_tuples(
         invalid_pdf, ccs, binning, combos, fresh_start
     )
-
-    # new households = fresh keys used by coloring + invalid resolutions
-    new_pairs = (
-        assign.filter(F.col("h_id") > int(max_key))
-        .select("h_id", "combo_id")
-        .distinct()
-        .toPandas()
-    )
-    new_pairs = pd.concat([new_pairs, inv_new], ignore_index=True)
-    r2_hat = r2_df
-    if len(new_pairs):
-        defaults = _column_defaults(r2_df)
-        rows = []
-        for _, r in new_pairs.iterrows():
-            vals = dict(defaults)
-            vals.update(combos.values_of(int(r["combo_id"])))
-            vals[r2_key] = int(r["h_id"])
-            rows.append(vals)
-        new_df = spark.createDataFrame(pd.DataFrame(rows)[r2_df.columns])
-        r2_hat = r2_df.unionByName(new_df)
-
     if len(inv_assign):
         assign = assign.unionByName(
-            spark.createDataFrame(inv_assign[["p_id", "h_id", "combo_id"]])
+            spark.createDataFrame(inv_assign[["p_id", "h_id"]])
         )
-    return assign.select("p_id", "h_id"), r2_hat
+
+    r1_hat = r1_df.join(assign.withColumnRenamed("h_id", fk), on="p_id", how="left")
+    if r1_key != "p_id":
+        r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
+    r1_hat = r1_hat.persist()
+
+    # new households = fresh keys used by coloring + invalid resolutions. This
+    # scan fills the whole cache of r1_hat (a filter never reaches below a
+    # cached relation), so it is the one run of the coloring.
+    fresh = np.unique(
+        r1_hat.filter((F.col(fk) > max_key) & (F.col(fk) < fresh_start))
+        .select(fk)
+        .toPandas()[fk]
+        .to_numpy(np.int64)
+    )
+    # a fresh key belongs to the partition whose reserved range holds it
+    combo_ids = np.array(sorted(bases), dtype=np.int64)
+    owner = np.searchsorted([bases[c] for c in combo_ids], fresh, "right") - 1
+    colored = pd.DataFrame({"h_id": fresh, "combo_id": combo_ids[owner]})
+    new_pairs = pd.concat([colored, inv_new], ignore_index=True)
+    r2_hat = r2_df
+    if len(new_pairs):
+        new_df = spark.createDataFrame(
+            _new_households(new_pairs, r2_df, combos, r2_key), schema=r2_df.schema
+        )
+        r2_hat = r2_df.unionByName(new_df)
+    return r1_hat, r2_hat
 
 
-def _column_defaults(r2_df: DataFrame) -> dict:
-    """Mode-ish default values for R2 columns not fixed by the combo."""
-    first = r2_df.limit(1).collect()
-    if not first:
-        return {}
-    return first[0].asDict()
+def _new_households(
+    new_pairs: pd.DataFrame, r2_df: DataFrame, combos: Combos, r2_key: str
+) -> pd.DataFrame:
+    """R2 rows for fresh keys: the combo's active values, and the other
+    columns copied from the R2 row with the smallest key (null if R2 is
+    empty)."""
+    active = combos.active_cols
+    defaults = r2_df.orderBy(r2_key).limit(1).toPandas().reindex([0])
+    new = new_pairs.rename(columns={"h_id": r2_key}).merge(
+        combos.table[["combo_id", *active]], on="combo_id"
+    )
+    new = new.merge(defaults.drop(columns=[r2_key, *active]), how="cross")
+    return new[r2_df.columns]

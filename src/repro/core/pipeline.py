@@ -1,10 +1,14 @@
 """End-to-end C-Extension solver (Figure 4): phase I + phase II.
 
 ``c_extension`` wires the pieces: Spark computes the bin histogram and the
-active-combo table, a driver-side phase-I strategy (hybrid or a baseline)
-produces the (bin, combo, count) allocation, Spark materialises V_Join and
-runs the per-partition phase II, and the result is the completed ``R̂1``
-plus the (possibly augmented) ``R̂2``.
+active-combo table (which also yields R2's largest key), a driver-side
+phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
+allocation, Spark materialises V_Join (the per-combo row counts are the
+action that fills its cache), and phase II completes the FKs in one Spark
+pass that builds, persists and materialises ``R̂1``; fresh households for
+``R̂2`` are read back from the cached ``R̂1``. The result is ``R̂1`` plus
+the (possibly augmented) ``R̂2``. Only ``vjoin`` and ``r1_hat`` are cached;
+unpersisting those two releases everything a solve cached.
 
 Per-stage wall times are recorded for the Figure-11/13 runtime tables.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -76,12 +81,10 @@ def c_extension(
     binning = Binning.build(distinct_counts, ccs, attrs)
 
     active = active_r2_columns(ccs)
-    if active:
-        active_counts = r2_df.groupBy(*active).count().toPandas()
-    else:
-        import pandas as pd
-
-        active_counts = pd.DataFrame({"count": [r2_df.count()]})
+    aggs = [F.count("*").alias("count"), F.max(r2_key).alias("__max_key")]
+    active_counts = r2_df.groupBy(*active).agg(*aggs).toPandas()
+    max_key = active_counts.pop("__max_key").max()
+    max_key = 0 if pd.isna(max_key) else int(max_key)
     combos = Combos.build(active_counts, active)
 
     t0 = time.perf_counter()
@@ -105,7 +108,7 @@ def c_extension(
     else:
         vjoin = fill_null_combos_random(vjoin, combos, seed=seed)
     vjoin = vjoin.persist()
-    vjoin.count()
+    sizes = dict(vjoin.groupBy("combo_id").count().collect())
     t_fill = time.perf_counter() - t0
 
     if active:
@@ -115,8 +118,9 @@ def c_extension(
         r2_with_combo = r2_df.withColumn("combo_id", F.lit(0).cast("long"))
 
     t0 = time.perf_counter()
-    assign, r2_hat = complete_fk(
+    r1_hat, r2_hat = complete_fk(
         spark,
+        r1_df,
         vjoin,
         r2_with_combo,
         r2_df,
@@ -124,15 +128,14 @@ def c_extension(
         binning,
         dcs,
         ccs,
+        sizes=sizes,
+        max_key=max_key,
         strategy="coloring" if method == "hybrid" else "random",
+        r1_key=r1_key,
         r2_key=r2_key,
+        fk=fk,
         seed=seed,
     )
-    r1_hat = r1_df.join(assign.withColumnRenamed("h_id", fk), on="p_id", how="left")
-    if r1_key != "p_id":
-        r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
-    r1_hat = r1_hat.persist()
-    r1_hat.count()
     t_coloring = time.perf_counter() - t0
 
     timings = dict(p1.timings)

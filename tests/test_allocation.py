@@ -3,8 +3,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.allocation import alloc_ranges, materialize_vjoin
-from repro.core.binning import Binning
+from repro.core.allocation import alloc_ranges, fill_null_combos_random, materialize_vjoin
+from repro.core.binning import Binning, Combos
 from repro.core.constraints import CC, Cond
 from repro.oracle import assert_equivalent
 
@@ -93,6 +93,24 @@ def test_materialize_is_deterministic(spark, tiny):
         a.sort_values("p_id").reset_index(drop=True),
         b.sort_values("p_id").reset_index(drop=True),
     )
+
+
+def test_random_fill_independent_of_partitioning(spark, tiny):
+    """The baseline's leftover combos do not depend on row order or
+    partitioning."""
+    r1_df, pdf, binning = tiny
+    combos = Combos.build(pd.DataFrame({"Area": ["a", "b", "c"], "count": [1, 1, 1]}), ["Area"])
+    empty = pd.DataFrame({"bin_id": [], "combo_id": [], "count": []})
+
+    def filled(df):
+        vj = materialize_vjoin(spark, df, binning, empty)
+        out = fill_null_combos_random(vj, combos, seed=3).select("p_id", "combo_id")
+        return out.toPandas().sort_values("p_id").reset_index(drop=True)
+
+    a = filled(r1_df)
+    b = filled(r1_df.orderBy(F.rand(1)).repartition(3))
+    pd.testing.assert_frame_equal(a, b)
+    assert a["combo_id"].between(0, 2).all()
 
 
 def test_vjoin_row_count_equals_r1_oracle(spark, db, solved):

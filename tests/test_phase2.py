@@ -3,8 +3,12 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import metrics
+from repro import census, workloads
+from repro.core import metrics, phase2
+from repro.core.constraints import CC, Cond
+from repro.core.hybrid import INVALID_COMBO
 from repro.core.phase2 import _key_bases, solve_invalid_tuples
+from repro.core.pipeline import c_extension
 from repro.oracle import assert_equivalent
 
 
@@ -15,7 +19,6 @@ def test_key_bases_disjoint_ranges():
 
 def test_solve_invalid_tuples_empty():
     from repro.core.binning import Binning, Combos
-    from repro.core.constraints import CC, Cond
 
     ccs = [CC(0, Cond.of(Rel="A"), Cond.of(Area="C"), 1)]
     pdf = pd.DataFrame({"Age": [1], "Rel": ["A"], "count": [1]})
@@ -107,3 +110,130 @@ def test_baseline_random_fk_assigns_all(solved_baseline):
 def test_baseline_typically_violates_dcs(solved_baseline, dcs_all):
     """Random FK assignment should violate DCs on ~any realistic instance."""
     assert metrics.dc_error(solved_baseline.r1_hat, dcs_all) > 0.0
+
+
+# -- phase II runs once, deterministically, and caches only what it returns --
+
+
+def _sorted(pdf: pd.DataFrame, key: str = "p_id") -> pd.DataFrame:
+    return pdf.sort_values(key).reset_index(drop=True)
+
+
+def _persistent_rdds(spark) -> set[int]:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+def _release(res) -> None:
+    res.vjoin.unpersist()
+    res.r1_hat.unpersist()
+
+
+def _own_instance(spark, seed: int):
+    """A database no other test solves: Spark shares the cache of plans with
+    the same result, so a solve of another test's inputs would reuse (and,
+    when released, drop) that test's cached V_Join."""
+    db = census.generate(scale=1.0, shrink=0.01, seed=seed)
+    ccs = workloads.make_cc_good(db, n_cc=60, seed=0)
+    return db.spark_r1(spark), db.spark_r2(spark), ccs
+
+
+@pytest.mark.parametrize("strategy", ["coloring", "random"])
+def test_partition_fn_independent_of_row_order(db, dcs_all, strategy):
+    """The per-partition function gives each tuple the same key whatever
+    order Spark delivers the partition's rows in."""
+    fn = (
+        phase2._coloring_fn(dcs_all, {0: 10_000}, "h_id")
+        if strategy == "coloring"
+        else phase2._random_fn(5, "h_id")
+    )
+    left = db.persons_missing_fk().assign(combo_id=0)
+    right = db.housing.assign(combo_id=0)
+    a = fn((0,), left, right)
+    b = fn((0,), left.sample(frac=1, random_state=1), right.sample(frac=1, random_state=2))
+    pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
+
+
+@pytest.mark.parametrize("method", ["hybrid", "baseline"])
+def test_output_independent_of_input_order(spark, db, ccs_good, dcs_all, method, request):
+    """Shuffled, repartitioned R1 and R2 give the same R̂1 and R̂2."""
+    ref = request.getfixturevalue("solved" if method == "hybrid" else "solved_baseline")
+    r1 = db.spark_r1(spark).orderBy(F.rand(3)).repartition(7)
+    r2 = db.spark_r2(spark).orderBy(F.rand(4)).repartition(7)
+    res = c_extension(spark, r1, r2, ccs_good, dcs_all, method=method, seed=0)
+    try:
+        for name, key in (("r1_hat", "p_id"), ("r2_hat", "h_id")):
+            got, want = getattr(res, name).toPandas(), getattr(ref, name).toPandas()
+            pd.testing.assert_frame_equal(_sorted(got, key), _sorted(want, key))
+    finally:
+        _release(res)
+
+
+def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
+    """One call of the per-partition coloring per non-empty combo partition,
+    and reading R̂1 and R̂2 afterwards does not run it again."""
+    calls = spark.sparkContext.accumulator(0)
+    make_fn = phase2._coloring_fn
+
+    def counting_coloring_fn(dcs, bases, r2_key):
+        fn = make_fn(dcs, bases, r2_key)
+
+        def counted(key, left, right):
+            if not left.empty:
+                calls.add(1)
+            return fn(key, left, right)
+
+        return counted
+
+    monkeypatch.setattr(phase2, "_coloring_fn", counting_coloring_fn)
+    r1, r2, ccs = _own_instance(spark, seed=31)
+    res = c_extension(spark, r1, r2, ccs, dcs_all, method="hybrid", seed=0)
+    try:
+        partitions = (
+            res.vjoin.filter(F.col("combo_id") != INVALID_COMBO)
+            .select("combo_id").distinct().count()
+        )
+        assert partitions > 1
+        assert calls.value == partitions
+        res.r1_hat.count()
+        res.r2_hat.count()
+        assert calls.value == partitions
+    finally:
+        _release(res)
+
+
+@pytest.mark.parametrize("r1_key", ["p_id", "person"])
+def test_no_cached_data_left_behind(spark, dcs_all, r1_key):
+    """A solve caches V_Join and R̂1 and nothing else. ``r1_key != "p_id"``
+    is the path the snowflake driver takes: only the renamed R̂1 is cached."""
+    r1, r2, ccs = _own_instance(spark, seed=32 if r1_key == "p_id" else 33)
+    r1 = r1.withColumnRenamed("p_id", r1_key)
+    before = _persistent_rdds(spark)
+    res = c_extension(spark, r1, r2, ccs, dcs_all, r1_key=r1_key, seed=0)
+    res.r2_hat.count()
+    assert len(_persistent_rdds(spark) - before) == 2
+    assert r1_key in res.r1_hat.columns
+    assert res.r1_hat.filter(F.col("h_id").isNull()).count() == 0
+    _release(res)
+    assert _persistent_rdds(spark) == before
+
+
+def test_no_active_columns_fresh_households(spark, running_example):
+    """CCs over no R2 column: one combo; R2's largest key still bounds the
+    fresh households, which keep R2's schema."""
+    persons, housing, _, dcs = running_example
+    r2 = spark.createDataFrame(housing.iloc[:2])  # 2 homes for 6 owners
+    ccs = [CC(0, Cond.of(Rel="Owner"), Cond.of(), 6)]
+    before = _persistent_rdds(spark)
+    res = c_extension(spark, spark.createDataFrame(persons), r2, ccs, dcs, seed=0)
+    assert res.r2_hat.schema == r2.schema
+    r2_hat = res.r2_hat.toPandas()
+    fresh = r2_hat[r2_hat["h_id"] > 2]
+    assert r2_hat["h_id"].is_unique
+    assert len(fresh) == len(r2_hat) - 2 >= 4
+    assert (fresh["Area"] == "Chicago").all()  # copied from the smallest-key row
+    r1_hat = res.r1_hat.toPandas()
+    assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
+    assert r1_hat.loc[r1_hat["Rel"] == "Owner", "h_id"].is_unique
+    _release(res)
+    assert _persistent_rdds(spark) == before
+
