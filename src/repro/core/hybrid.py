@@ -141,7 +141,8 @@ def fill_leftovers(
         # households the coloring has to mint for over-full partitions
         unused = list(rng.permutation(unused))
         w = np.array([nh_all[c] for c in unused], dtype=float)
-        w /= w.sum()
+        # no harmless combo holds a household (e.g. R2 is empty): split evenly
+        w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1 / len(w))
         counts = np.floor(w * n).astype(int)
         rem = n - counts.sum()
         order = np.argsort(-(w * n - counts))

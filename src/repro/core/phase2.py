@@ -4,10 +4,11 @@ The paper's key optimization (§5.2) — partitioning V_Join and R2 by the
 assigned B-values, since candidate FK sets are disjoint across partitions —
 maps directly onto Spark:
 ``vjoin.groupBy(combo).cogroup(r2.groupBy(combo)).applyInPandas(...)``.
-Each partition independently builds its conflict hypergraph and runs the
-largest-first list coloring (§A.3 notes this parallelism explicitly). Rows
-are sorted by ``p_id`` first, so the coloring does not depend on the order
-in which Spark delivers them.
+Each partition independently builds its conflict hypergraph (a dense
+boolean matrix over its tuples, :mod:`.conflict`) and runs the largest-first
+list coloring on it (§A.3 notes this parallelism explicitly). Rows are
+sorted by ``p_id`` first, so the coloring does not depend on the order in
+which Spark delivers them.
 
 Skipped vertices take fresh colors = fresh R2 keys; per-partition key ranges
 are pre-reserved on the driver (a partition can never need more new keys
@@ -57,8 +58,8 @@ def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str):
         combo_id = int(key[0])
         lp = left.sort_values("p_id").reset_index(drop=True)
         keys = sorted(int(k) for k in right[r2_key].tolist())
-        edges = enumerate_edges(lp, dcs)
-        c, _ = color_with_extension(len(lp), edges, keys, bases[combo_id])
+        graph = enumerate_edges(lp, dcs)
+        c, _ = color_with_extension(graph, keys, bases[combo_id])
         return pd.DataFrame(
             {
                 "p_id": lp["p_id"].astype(np.int64),
@@ -101,27 +102,30 @@ def solve_invalid_tuples(
 
     Returns (assignments[p_id, h_id, combo_id], new_households[h_id,
     combo_id]). A tuple alone in a fresh household cannot violate any
-    Foreign-Key DC (arity ≥ 2), so DC satisfaction is preserved. Fresh keys
-    follow ``p_id`` order.
+    Foreign-Key DC (arity ≥ 2), so DC satisfaction is preserved. The best
+    combo depends only on the tuple's bin (lowest score, then lowest
+    ``combo_id``); fresh keys follow ``p_id`` order.
     """
     if invalid_pdf.empty:
         empty = pd.DataFrame(columns=["p_id", "h_id", "combo_id"], dtype=np.int64)
         return empty, empty[["h_id", "combo_id"]]
     scorer = _Scorer(ccs, binning, combos)
     combo_ids = combos.table["combo_id"].tolist()
-    rows = []
-    news = []
-    nxt = fresh_start
-    for _, t in invalid_pdf.sort_values("p_id").iterrows():
-        b = int(t["bin_id"])
-        best = min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
-        rows.append((int(t["p_id"]), nxt, int(best)))
-        news.append((nxt, int(best)))
-        nxt += 1
-    return (
-        pd.DataFrame(rows, columns=["p_id", "h_id", "combo_id"]),
-        pd.DataFrame(news, columns=["h_id", "combo_id"]),
+    inv = invalid_pdf.sort_values("p_id")
+    bins = inv["bin_id"].astype(np.int64)
+    # the best combo depends only on the bin: score each distinct bin once
+    best = {
+        b: min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
+        for b in bins.unique().tolist()
+    }
+    assign = pd.DataFrame(
+        {
+            "p_id": inv["p_id"].to_numpy(np.int64),
+            "h_id": np.arange(fresh_start, fresh_start + len(inv), dtype=np.int64),
+            "combo_id": bins.map(best).to_numpy(np.int64),
+        }
     )
+    return assign, assign[["h_id", "combo_id"]]
 
 
 def complete_fk(

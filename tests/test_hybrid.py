@@ -146,3 +146,21 @@ def test_hybrid_phase1_reports_structure(db, ccs_bad):
     assert res.structure is not None
     assert set(res.s1_ids) | set(res.s2_ids) == {c.cc_id for c in ccs_bad}
     assert not (set(res.s1_ids) & set(res.s2_ids))
+
+
+def test_fill_leftovers_keeps_tuples_when_no_combo_has_households():
+    """Harmless combos holding no household (empty R2) split the tuples
+    evenly instead of dividing by a zero total and dropping them."""
+    ccs = [CC(0, Cond.of(Rel="A"), Cond.of(Area="C"), 0)]
+    binning, combos = _mk(
+        ccs, [(1, "B")] * 5,
+        {"Area": ["N", "S"], "Tenure": ["O", "O"], "count": [0, 0]},
+    )
+    scorer = _Scorer(ccs, binning, combos)
+    b = int(binning.bins["bin_id"].iloc[0])
+    with np.errstate(all="raise"):
+        rows, n_invalid = fill_leftovers({b: 5}, scorer, combos, np.random.default_rng(0))
+    assert n_invalid == 0
+    assert sum(cnt for _, _, cnt in rows) == 5
+    assert sorted(cnt for _, _, cnt in rows) == [2, 3]
+    assert {cid for _, cid, _ in rows} == set(combos.table["combo_id"].tolist())

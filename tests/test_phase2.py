@@ -1,4 +1,5 @@
 """Tests for phase II (Algorithm 4): DC satisfaction, join consistency."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -6,10 +7,11 @@ from pyspark.sql import functions as F
 from repro import census, workloads
 from repro.core import metrics, phase2
 from repro.core.constraints import CC, Cond
-from repro.core.hybrid import INVALID_COMBO
+from repro.core.hybrid import INVALID_COMBO, _Scorer
 from repro.core.phase2 import _key_bases, solve_invalid_tuples
 from repro.core.pipeline import c_extension
 from repro.oracle import assert_equivalent
+from tests.conftest import build_phase1_inputs
 
 
 def test_key_bases_disjoint_ranges():
@@ -237,3 +239,63 @@ def test_no_active_columns_fresh_households(spark, running_example):
     _release(res)
     assert _persistent_rdds(spark) == before
 
+
+def test_empty_r2_every_tuple_gets_a_fresh_household(spark, dcs_all):
+    """R2 empty and CCs over no R2 column: every tuple stays allocated to the
+    one (household-less) combo, and phase II mints a household for each FK."""
+    db = census.generate(scale=1.0, shrink=0.01, seed=34)
+    r2 = db.spark_r2(spark).limit(0)
+    persons = db.persons
+    ccs = [
+        CC(0, Cond.of(Rel="Owner"), Cond.of(), int((persons["Rel"] == "Owner").sum())),
+        CC(1, Cond.of(Age=(0, 17)), Cond.of(), int((persons["Age"] <= 17).sum())),
+    ]
+    res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, seed=0)
+    try:
+        assert res.phase1.alloc["count"].sum() == len(persons)
+        assert (res.phase1.alloc["combo_id"] != INVALID_COMBO).all()
+        r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
+        assert len(r1_hat) == len(persons)
+        assert r1_hat["h_id"].notna().all()
+        assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
+        assert r2_hat["h_id"].is_unique
+        assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
+        rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
+        assert metrics.cc_error_summary(rep)["max"] == 0.0
+    finally:
+        _release(res)
+
+
+def _solve_invalid_rowwise(invalid_pdf, ccs, binning, combos, fresh_start):
+    """The row-at-a-time ``solve_invalid_tuples`` it replaced."""
+    scorer = _Scorer(ccs, binning, combos)
+    combo_ids = combos.table["combo_id"].tolist()
+    rows, news, nxt = [], [], fresh_start
+    for _, t in invalid_pdf.sort_values("p_id").iterrows():
+        b = int(t["bin_id"])
+        best = min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
+        rows.append((int(t["p_id"]), nxt, int(best)))
+        news.append((nxt, int(best)))
+        nxt += 1
+    return (
+        pd.DataFrame(rows, columns=["p_id", "h_id", "combo_id"]),
+        pd.DataFrame(news, columns=["h_id", "combo_id"]),
+    )
+
+
+def test_solve_invalid_tuples_matches_rowwise(db, ccs_bad):
+    """Scoring each distinct bin once gives the row loop's exact output."""
+    binning, combos = build_phase1_inputs(db, ccs_bad)
+    g = np.random.default_rng(5)
+    bins = binning.bins["bin_id"].to_numpy()
+    invalid = pd.DataFrame(
+        {
+            "p_id": g.permutation(200).astype(np.int64) * 3 + 7,
+            "bin_id": g.choice(bins[:12], 200).astype(np.int64),
+        }
+    )
+    assert invalid["bin_id"].duplicated().any()
+    got = solve_invalid_tuples(invalid, ccs_bad, binning, combos, 5000)
+    want = _solve_invalid_rowwise(invalid, ccs_bad, binning, combos, 5000)
+    for a, b in zip(got, want):
+        pd.testing.assert_frame_equal(a, b)

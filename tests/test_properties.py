@@ -5,18 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coloring import color_with_extension, coloring_lf
-from repro.core.conflict import pairwise_edges
+from repro.core.conflict import ConflictGraph, enumerate_edges
 from repro.core.constraints import (
     CC,
     CONTAINED,
     CONTAINS,
     DISJOINT,
     EQUAL,
+    DC,
+    Comp,
     Cond,
+    OutsideComp,
     cc_relationship,
     pairwise_dc,
 )
 from repro.ilp import solve_ilp
+from tests import coloring_oracle as oracle
 
 # --------------------------------------------------------------------- Cond
 interval = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(
@@ -89,7 +93,8 @@ def test_cc_relationship_total_and_antisymmetric(a, b):
 @settings(max_examples=80, deadline=None)
 def test_coloring_extension_always_proper(n, raw_edges, n_colors):
     edges = [tuple(sorted(e)) for e in raw_edges if e[0] != e[1] and max(e) < n]
-    c, fresh = color_with_extension(n, edges, list(range(n_colors)), fresh_start=100)
+    graph = ConflictGraph.from_edges(n, edges)
+    c, fresh = color_with_extension(graph, list(range(n_colors)), fresh_start=100)
     assert set(c) == set(range(n))
     for e in edges:
         assert len({c[v] for v in e}) >= 2
@@ -102,7 +107,7 @@ def test_coloring_extension_always_proper(n, raw_edges, n_colors):
 @settings(max_examples=60, deadline=None)
 def test_coloring_lf_never_miscolors(n, raw_edges):
     edges = [tuple(sorted(e)) for e in raw_edges if e[0] != e[1] and max(e) < n]
-    c, skipped = coloring_lf(n, edges, {}, list(range(3)))
+    c, skipped = coloring_lf(ConflictGraph.from_edges(n, edges), {}, list(range(3)))
     for e in edges:
         if all(v in c for v in e):
             assert len({c[v] for v in e}) >= 2
@@ -123,7 +128,7 @@ def test_pairwise_edges_random_instances(seed):
         }
     )
     dc = pairwise_dc("d", Cond.of(Rel="A"), Cond.of(), [("Age", "<", "Age", 0)])
-    got = pairwise_edges(pdf, dc)
+    got = oracle.edge_set(enumerate_edges(pdf, [dc]))
     # brute force
     expected = set()
     for i in range(n):
@@ -133,6 +138,92 @@ def test_pairwise_edges_random_instances(seed):
             if pdf.Age[i] < pdf.Age[j]:
                 expected.add(tuple(sorted((i, j))))
     assert got == expected
+
+
+# ------------------------------------------- dense coloring vs the oracle
+@st.composite
+def frames(draw, max_n: int):
+    n = draw(st.integers(0, max_n))
+    col = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    return pd.DataFrame(
+        {
+            "p_id": range(n),
+            "Age": col(st.integers(0, 30)),
+            "Rel": col(st.sampled_from(["A", "B", "C"])),
+            "Cls": col(st.sampled_from(["C0", "C1"])),
+        }
+    )
+
+
+@st.composite
+def comps(draw, arity: int):
+    i, j = draw(st.integers(0, arity - 1)), draw(st.integers(0, arity - 1))
+    kind = draw(st.sampled_from(["age", "outside", "rel", "cls"]))
+    if kind == "age":
+        op = draw(st.sampled_from(["<", ">", "<=", ">=", "=", "!="]))
+        return Comp(i, "Age", op, j, "Age", draw(st.integers(-10, 10)))
+    if kind == "outside":
+        lo = draw(st.integers(-20, 10))
+        return OutsideComp(i, "Age", j, "Age", lo, lo + draw(st.integers(0, 20)))
+    col = "Rel" if kind == "rel" else "Cls"
+    return Comp(i, col, draw(st.sampled_from(["=", "!="])), j, col)
+
+
+@st.composite
+def dcs(draw, arity: int):
+    preds = st.one_of(
+        st.just(Cond.of()),
+        cat.map(lambda r: Cond.of(Rel=r)),
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
+            lambda t: Cond.of(Age=(min(t), max(t)))
+        ),
+    )
+    return DC(
+        f"dc{arity}",
+        tuple(draw(preds) for _ in range(arity)),
+        tuple(draw(st.lists(comps(arity), max_size=2))),
+    )
+
+
+pairwise_instances = st.tuples(frames(14), st.lists(dcs(2), min_size=1, max_size=4))
+mixed_instances = st.tuples(
+    frames(8),
+    st.tuples(st.lists(dcs(2), max_size=2), dcs(3)).map(lambda t: [*t[0], t[1]]),
+)
+candidate_colors = st.lists(st.integers(0, 12), max_size=6)
+
+
+@given(st.one_of(pairwise_instances, mixed_instances), candidate_colors)
+@settings(max_examples=150, deadline=None)
+def test_dense_coloring_equals_oracle(instance, colors):
+    """Same edge count and the very same coloring, fresh colors included,
+    as Algorithm 3 over the brute-force edge list."""
+    pdf, dc_list = instance
+    graph = enumerate_edges(pdf, dc_list)
+    edges = oracle.brute_edges(pdf, dc_list)
+    assert len(graph) == len(edges)
+    assert oracle.edge_set(graph) == set(edges)
+    assert color_with_extension(graph, colors, 100) == oracle.color_with_extension(
+        len(pdf), edges, colors, 100
+    )
+
+
+@given(
+    st.one_of(pairwise_instances, mixed_instances),
+    candidate_colors,
+    st.dictionaries(st.integers(0, 13), st.integers(0, 15), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_dense_coloring_lf_equals_oracle_with_precolored(instance, colors, pre):
+    """Pre-colored vertices (colors in L or not) and too few colors: the
+    same coloring and the same skipped vertices, in the same order."""
+    pdf, dc_list = instance
+    pre = {v: col for v, col in pre.items() if v < len(pdf)}
+    graph = enumerate_edges(pdf, dc_list)
+    edges = oracle.brute_edges(pdf, dc_list)
+    assert coloring_lf(graph, dict(pre), colors) == oracle.coloring_lf(
+        len(pdf), edges, dict(pre), colors
+    )
 
 
 # ---------------------------------------------------------------------- ILP
