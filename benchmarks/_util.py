@@ -1,11 +1,12 @@
-"""Shared benchmark plumbing: cached datasets, one-run helper, CSV dump.
+"""Shared benchmark plumbing: cached datasets and the CSV dump.
 
 Each ``bench_fig*.py`` parametrizes over the paper table's cells; every cell
-runs the full pipeline once (``pedantic(rounds=1)`` — these are end-to-end
-system benchmarks, not microbenchmarks). Error metrics go into
-``benchmark.extra_info`` and accumulate into ``results/<table>.csv`` via a
-session finalizer, so ``pytest benchmarks/ --benchmark-only`` leaves both
-the timing table and the error tables behind.
+runs the full pipeline once through ``repro.experiments.run_cell``
+(``pedantic(rounds=1)`` — these are end-to-end system benchmarks, not
+microbenchmarks). Error metrics go into ``benchmark.extra_info`` and
+accumulate into ``results/<table>.csv`` via a session finalizer, so
+``pytest benchmarks/ --benchmark-only`` leaves both the timing table and
+the error tables behind.
 """
 from __future__ import annotations
 
@@ -15,10 +16,8 @@ from collections import defaultdict
 
 import pandas as pd
 
-from repro import census, workloads
-from repro.core import metrics
-from repro.core.pipeline import c_extension
-from repro.experiments import N_CC, SEED, SHRINK
+from repro import census
+from repro.experiments import SEED, SHRINK
 
 _DB_CACHE: dict = {}
 _RESULTS: dict[str, list[dict]] = defaultdict(list)
@@ -32,41 +31,6 @@ def get_db(scale: float, n_r2_cols: int = 2) -> census.CensusDB:
             scale=scale, shrink=SHRINK, seed=SEED, n_r2_cols=n_r2_cols
         )
     return _DB_CACHE[key]
-
-
-def get_ccs(db: census.CensusDB, flavor: str, n_cc: int = N_CC):
-    mk = workloads.make_cc_good if flavor == "good" else workloads.make_cc_bad
-    return mk(db, n_cc=n_cc, seed=0)
-
-
-def get_dcs(flavor: str):
-    return workloads.dcs_good() if flavor == "good" else workloads.dcs_all()
-
-
-def run_cell(spark, db, ccs, dcs, method: str) -> dict:
-    """One pipeline run + error metrics (the payload each bench times)."""
-    res = c_extension(
-        spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs,
-        method=method, seed=SEED,
-    )
-    rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
-    s = metrics.cc_error_summary(rep)
-    out = {
-        "method": method,
-        "cc_median": s["median"],
-        "cc_mean": round(s["mean"], 4),
-        "dc_error": round(metrics.dc_error(res.r1_hat, dcs), 4),
-        "ilp_s": round(res.timings["ilp"], 3),
-        "pairwise_s": round(res.timings["pairwise"], 3),
-        "recursion_s": round(res.timings["recursion"], 3),
-        "coloring_s": round(res.timings["coloring"], 3),
-        "phase1_s": round(res.timings["phase1_total"], 3),
-        "total_s": round(res.timings["total"], 3),
-        "n_persons": len(db.persons),
-    }
-    res.vjoin.unpersist()
-    res.r1_hat.unpersist()
-    return out
 
 
 def record(table: str, row: dict, benchmark=None) -> None:

@@ -3,8 +3,8 @@ at data scale 10× (the paper's datasets 11, 12, 4, 9).
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
-from repro.experiments import FIG10_DATASETS
+from benchmarks._util import get_db, record
+from repro.experiments import FIG10_DATASETS, make_ccs, make_dcs, run_cell
 
 METHODS = ["baseline", "baseline_marginals", "hybrid"]
 
@@ -13,8 +13,8 @@ METHODS = ["baseline", "baseline_marginals", "hybrid"]
 @pytest.mark.parametrize("method", METHODS)
 def test_fig10_cell(benchmark, spark, dataset, dc_flavor, cc_flavor, method):
     db = get_db(10)
-    ccs = get_ccs(db, cc_flavor)
-    dcs = get_dcs(dc_flavor)
+    ccs = make_ccs(db, cc_flavor)
+    dcs = make_dcs(dc_flavor)
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, method), rounds=1, iterations=1
     )

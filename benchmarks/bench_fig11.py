@@ -4,7 +4,8 @@ the bad set costs more (ILP); phase II (shaded) grows with data.
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
+from benchmarks._util import get_db, record
+from repro.experiments import make_ccs, make_dcs, run_cell
 
 SCALES = [10, 20, 40]
 
@@ -13,8 +14,8 @@ SCALES = [10, 20, 40]
 @pytest.mark.parametrize("flavor", ["good", "bad"])
 def test_fig11b_cell(benchmark, spark, scale, flavor):
     db = get_db(scale)
-    ccs = get_ccs(db, flavor)
-    dcs = get_dcs("good")
+    ccs = make_ccs(db, flavor)
+    dcs = make_dcs("good")
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, "hybrid"), rounds=1, iterations=1
     )

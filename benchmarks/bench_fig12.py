@@ -4,7 +4,8 @@ coloring growing faster than the Hasse recursion.
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
+from benchmarks._util import get_db, record
+from repro.experiments import make_ccs, make_dcs, run_cell
 
 N_COLS = [2, 4, 6, 8, 10]
 
@@ -12,8 +13,8 @@ N_COLS = [2, 4, 6, 8, 10]
 @pytest.mark.parametrize("n_cols", N_COLS)
 def test_fig12_cell(benchmark, spark, n_cols):
     db = get_db(10, n_r2_cols=n_cols)
-    ccs = get_ccs(db, "good")
-    dcs = get_dcs("good")
+    ccs = make_ccs(db, "good")
+    dcs = make_dcs("good")
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, "hybrid"), rounds=1, iterations=1
     )

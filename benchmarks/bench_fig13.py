@@ -5,7 +5,8 @@ bad → ILP dominates (86%).
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
+from benchmarks._util import get_db, record
+from repro.experiments import make_ccs, make_dcs, run_cell
 
 N_CCS = [60, 100, 140]
 
@@ -14,8 +15,8 @@ N_CCS = [60, 100, 140]
 @pytest.mark.parametrize("flavor", ["good", "bad"])
 def test_fig13_cell(benchmark, spark, n_cc, flavor):
     db = get_db(10)
-    ccs = get_ccs(db, flavor, n_cc=n_cc)
-    dcs = get_dcs("all")
+    ccs = make_ccs(db, flavor, n_cc=n_cc)
+    dcs = make_dcs("all")
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, "hybrid"), rounds=1, iterations=1
     )

@@ -6,7 +6,8 @@ Paper: hybrid and baseline+marginals reach CC error 0; baseline CC error
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
+from benchmarks._util import get_db, record
+from repro.experiments import make_ccs, make_dcs, run_cell
 
 SCALES = [1, 2, 5, 10]
 METHODS = ["baseline", "baseline_marginals", "hybrid"]
@@ -16,8 +17,8 @@ METHODS = ["baseline", "baseline_marginals", "hybrid"]
 @pytest.mark.parametrize("method", METHODS)
 def test_fig8a_cell(benchmark, spark, scale, method):
     db = get_db(scale)
-    ccs = get_ccs(db, "good")
-    dcs = get_dcs("all")
+    ccs = make_ccs(db, "good")
+    dcs = make_dcs("all")
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, method), rounds=1, iterations=1
     )

@@ -5,7 +5,8 @@ baseline 0.23–0.58 CC / 0.23–0.37 DC; marginals 0 CC / 0.40–0.51 DC.
 """
 import pytest
 
-from benchmarks._util import get_ccs, get_db, get_dcs, record, run_cell
+from benchmarks._util import get_db, record
+from repro.experiments import make_ccs, make_dcs, run_cell
 
 SCALES = [1, 2, 5, 10]
 METHODS = ["baseline", "baseline_marginals", "hybrid"]
@@ -15,8 +16,8 @@ METHODS = ["baseline", "baseline_marginals", "hybrid"]
 @pytest.mark.parametrize("method", METHODS)
 def test_fig8b_cell(benchmark, spark, scale, method):
     db = get_db(scale)
-    ccs = get_ccs(db, "bad")
-    dcs = get_dcs("all")
+    ccs = make_ccs(db, "bad")
+    dcs = make_dcs("all")
     out = benchmark.pedantic(
         lambda: run_cell(spark, db, ccs, dcs, method), rounds=1, iterations=1
     )

@@ -12,6 +12,7 @@ from _session import get_spark
 from repro import census, workloads
 from repro.core import metrics
 from repro.core.pipeline import c_extension
+from repro.experiments import make_ccs
 
 SOLVE_GROUP = "c_extension"
 
@@ -22,8 +23,7 @@ if __name__ == "__main__":
     spark = get_spark("pipeline")
     sc = spark.sparkContext
     db = census.generate(scale=scale, shrink=0.02, seed=1)
-    mk = workloads.make_cc_good if flavor == "good" else workloads.make_cc_bad
-    ccs = mk(db, n_cc=140, seed=0)
+    ccs = make_ccs(db, flavor)
     dcs = workloads.dcs_all()
     sc.setJobGroup(SOLVE_GROUP, "one C-Extension solve")
     res = c_extension(

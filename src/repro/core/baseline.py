@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binning import Binning, Combos
+from .binning import Binning, Combos, Coverage
 from .constraints import CC
 from .hybrid import Phase1Result, _to_frame
 from .ilp_phase import alg1_allocate
@@ -35,16 +35,13 @@ def baseline_phase1(
     avail = binning.avail
     alg1 = alg1_allocate(
         ccs,
-        binning,
-        combos,
+        Coverage.build(ccs, binning, combos),
         avail,
         marginals="all" if with_marginals else "none",
         restrict_vars=False,
         node_limit=node_limit,
     )
-    rows = [
-        (a.bin_id, _combo_id_of(a.partial, combos), a.count) for a in alg1.allocations
-    ]
+    rows = [(a.bin_id, int(a.combo_ids[0]), a.count) for a in alg1.allocations]
     # random completion of unassigned tuples (baseline's leftover strategy)
     combo_ids = combos.table["combo_id"].to_numpy()
     weights = combos.table["n_households"].to_numpy().astype(float)
@@ -70,10 +67,3 @@ def baseline_phase1(
         },
     )
 
-
-def _combo_id_of(partial: dict, combos: Combos) -> int:
-    """Algorithm 1 allocations always carry a full active-column assignment."""
-    elig = combos.matching_partial(partial)
-    if len(elig) != 1:
-        raise AssertionError(f"expected a unique combo for {partial}")
-    return int(elig[0])

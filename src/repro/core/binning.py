@@ -9,10 +9,12 @@ phase I operate on the (bin, combo) count histogram instead of tuples.
 The bin histogram is computed with a Spark ``groupBy`` over the R1 attribute
 columns; everything downstream of it is driver-side NumPy/pandas on a table
 whose size is bounded by the attribute-domain product, not the data.
+:class:`Coverage` answers, once per phase I, which (bin, combo) cells each
+CC counts; every phase-I step reads its masks instead of re-matching CCs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -154,16 +156,51 @@ class Combos:
             raise ValueError(f"R2 condition uses non-active columns {extra}")
         return self.table["combo_id"].to_numpy()[m]
 
-    def values_of(self, combo_id: int) -> dict:
-        row = self.table.loc[self.table["combo_id"] == combo_id].iloc[0]
-        return {c: row[c] for c in self.active_cols}
 
-    def matching_partial(self, partial: dict) -> np.ndarray:
-        """Combos consistent with a partial assignment of active columns."""
-        m = np.ones(len(self.table), dtype=bool)
-        for col, val in partial.items():
-            m &= (self.table[col] == val).to_numpy()
-        return self.table["combo_id"].to_numpy()[m]
+@dataclass
+class Coverage:
+    """Which cells of the (bin, combo) count space each CC counts.
+
+    ``bins[i, b]``: bin ``b`` satisfies the R1 condition of CC ``i`` (the CC
+    in row ``row[cc_id] == i``); ``combos[i, c]``: combo ``c`` satisfies its
+    R2 condition. A tuple of bin ``b`` given combo ``c`` counts towards CC
+    ``i`` iff both hold, so the integer product ``count = bins.T @ combos``
+    gives, per cell, the number of CCs the cell contributes to. Bin and
+    combo ids are positions, so they index the masks directly; a ⊥ variable's
+    combo ``-1`` must be masked out, never used as an index.
+    """
+
+    row: dict[int, int]  # cc_id → row of ``bins`` / ``combos``
+    bins: np.ndarray     # bool, CCs × bins
+    combos: np.ndarray   # bool, CCs × combos
+    count: np.ndarray = field(init=False)  # int64, bins × combos
+
+    def __post_init__(self) -> None:
+        self.count = self.cells(slice(None))
+
+    @staticmethod
+    def build(ccs: list[CC], binning: Binning, combos: Combos) -> "Coverage":
+        bins = np.zeros((len(ccs), len(binning.bins)), dtype=bool)
+        cmb = np.zeros((len(ccs), len(combos)), dtype=bool)
+        for i, cc in enumerate(ccs):
+            bins[i, binning.cond_bin_ids(cc.r1)] = True
+            cmb[i, combos.cond_combo_ids(cc.r2)] = True
+        return Coverage({cc.cc_id: i for i, cc in enumerate(ccs)}, bins, cmb)
+
+    def cells(self, rows) -> np.ndarray:
+        """bins × combos: how many of the CCs in ``rows`` each cell counts for."""
+        return self.bins[rows].T.astype(np.int64) @ self.combos[rows].astype(np.int64)
+
+    def rows(self, cc_ids) -> np.ndarray:
+        """Mask rows of the CCs ``cc_ids``."""
+        return np.array([self.row[i] for i in cc_ids], dtype=np.int64)
+
+    def score(self, bin_id: int, allowed=()) -> np.ndarray:
+        """Per combo: the CCs outside ``allowed`` (cc_ids) that a tuple of
+        ``bin_id`` given that combo contributes to."""
+        r = self.rows(allowed)
+        own = self.bins[r, bin_id][:, None] & self.combos[r]
+        return self.count[bin_id] - own.sum(axis=0)
 
 
 def active_r2_columns(ccs: list[CC]) -> list[str]:

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import Binning
+from .binning import Coverage
 from .constraints import (
-    CAT,
     CC,
     CONTAINED,
     CONTAINS,
@@ -33,15 +32,17 @@ from .constraints import (
 
 @dataclass
 class Alloc:
-    """``count`` tuples of bin ``bin_id`` assigned the R2 values ``partial``.
+    """``count`` tuples of bin ``bin_id``, each to take one of ``combo_ids``.
 
-    ``partial`` maps active R2 columns to values; columns missing from it are
-    completed later (``hybrid.resolve_partials``). ``cc_id`` records which CC
-    the draw serves (None for leftover fills).
+    ``combo_ids`` are the combos the draw may take: for an Algorithm-2 draw
+    every combo its CC covers, for an Algorithm-1 variable its one combo.
+    ``hybrid.resolve_partials`` picks among them; with none the tuples are
+    invalid. ``cc_id`` records which CC the draw serves (None for
+    Algorithm 1).
     """
 
     bin_id: int
-    partial: dict
+    combo_ids: np.ndarray
     count: int
     cc_id: int | None
 
@@ -167,22 +168,6 @@ def split_s1_s2(structure: HasseStructure) -> tuple[list[int], list[int]]:
     return s1, s2
 
 
-def _r2_values(cc: CC) -> dict:
-    """The (partial) B-value assignment encoded by a CC's R2 condition.
-
-    Our workloads use single-value equalities; for robustness a multi-value
-    spec deterministically picks its smallest member, and a range spec its
-    lower bound.
-    """
-    out = {}
-    for col, spec in cc.r2.specs:
-        if spec[0] == CAT:
-            out[col] = sorted(spec[1], key=repr)[0]
-        else:
-            out[col] = spec[1]
-    return out
-
-
 @dataclass
 class Alg2Result:
     allocations: list[Alloc]
@@ -192,40 +177,25 @@ class Alg2Result:
 def alg2_allocate(
     structure: HasseStructure,
     s1_ids: list[int],
-    binning: Binning,
+    cov: Coverage,
     avail: dict[int, int],
-    combos=None,
 ) -> Alg2Result:
     """Algorithm 2 at bin-count level. Mutates ``avail`` in place.
 
     For each diagram (bottom-up): children first; then the maximal element
     takes ``k_m − Σ_children k_c`` tuples satisfying ``σ_m ∧ ⋀ ¬σ_c`` (paper
-    line 12). The negation spans R1 *and* R2 attributes: a bin outside every
-    child's R1 condition is always usable, while a bin inside a child's R1
-    condition is usable only if some B-combo satisfies σ_m's R2 part without
-    satisfying that child's (e.g. an Area-only parent drawing tuples with a
-    tenure other than its Tenure-Area child's). ``combos`` enables that
-    feasibility check; the harmless combo itself is chosen later by
-    ``hybrid.resolve_partials``'s spurious-contribution scorer.
+    line 12). The negation spans R1 *and* R2 attributes, so the bins the
+    parent covers (its ``cov`` mask row) fall into two tiers: bins outside
+    every child's R1 condition, always usable, then bins inside some child's
+    R1 condition that still have a combo the parent covers and none of those
+    children does (e.g. an Area-only parent drawing tuples with a tenure
+    other than its Tenure-Area child's). Each draw may take any combo the
+    parent covers; ``hybrid.resolve_partials`` then picks the one adding
+    the fewest spurious contributions.
     """
     by_id = {c.cc_id: c for c in structure.ccs}
     s1 = set(s1_ids)
     res = Alg2Result(allocations=[])
-    bin_cache: dict[int, np.ndarray] = {}
-    combo_cache: dict[int, frozenset] = {}
-
-    def bins_of(cc_id: int) -> np.ndarray:
-        if cc_id not in bin_cache:
-            bin_cache[cc_id] = binning.cond_bin_ids(by_id[cc_id].r1)
-        return bin_cache[cc_id]
-
-    def combos_of(cc_id: int) -> frozenset:
-        if cc_id not in combo_cache:
-            combo_cache[cc_id] = frozenset(
-                combos.cond_combo_ids(by_id[cc_id].r2).tolist()
-            )
-        return combo_cache[cc_id]
-
     visited: set[int] = set()
 
     def visit(cc_id: int) -> None:
@@ -233,30 +203,22 @@ def alg2_allocate(
             return
         visited.add(cc_id)
         cc = by_id[cc_id]
-        kids = [k for k in structure.children[cc_id] if k in s1]
-        for k in sorted(kids):
+        kids = sorted(k for k in structure.children[cc_id] if k in s1)
+        for k in kids:
             visit(k)
         extra = cc.target - sum(by_id[k].target for k in kids)
         if extra < 0:  # overconstrained input; cap (recorded as error later)
             extra = 0
-        kid_bins: dict[int, set[int]] = {k: set(bins_of(k).tolist()) for k in kids}
-        vals = _r2_values(cc)
-
-        def usable(b: int) -> bool:
-            overlapping = [k for k, bs in kid_bins.items() if b in bs]
-            if not overlapping:
-                return True
-            if combos is None:
-                return False
-            own = combos_of(cc_id)
-            blocked = set().union(*(combos_of(k) for k in overlapping))
-            return bool(own - blocked)
-
-        all_bins = sorted(bins_of(cc_id).tolist())
-        tier1 = [b for b in all_bins if not any(b in bs for bs in kid_bins.values())]
-        tier2 = [b for b in all_bins if b not in tier1 and usable(b)]
+        i, ks = cov.row[cc_id], cov.rows(kids)
+        under_kid = cov.bins[ks].any(axis=0)
+        # per bin: the combos some child whose R1 condition holds there covers
+        blocked = cov.cells(ks) > 0
+        free = (cov.combos[i] & ~blocked).any(axis=1)
+        tier1 = np.flatnonzero(cov.bins[i] & ~under_kid)
+        tier2 = np.flatnonzero(cov.bins[i] & under_kid & free)
+        combo_ids = np.flatnonzero(cov.combos[i])
         need = extra
-        for b in tier1 + tier2:
+        for b in [*tier1.tolist(), *tier2.tolist()]:
             if need == 0:
                 break
             if avail.get(b, 0) <= 0:
@@ -264,7 +226,7 @@ def alg2_allocate(
             take = min(avail[b], need)
             avail[b] -= take
             need -= take
-            res.allocations.append(Alloc(bin_id=b, partial=vals, count=take, cc_id=cc_id))
+            res.allocations.append(Alloc(b, combo_ids, take, cc_id))
         if need > 0:
             res.shortfall[cc_id] = need
 

@@ -6,10 +6,15 @@
 3. S2 is solved by Algorithm 1 with the *modified marginals* (rows only for
    bins relevant to S2, with availability net of the S1 draws) and the
    restricted variable space.
-4. Partial B-assignments (CCs that constrain only some active columns) are
-   completed with combos that add no spurious CC contributions; leftover
-   tuples get ``combo_unused`` values; bins with no harmless combo produce
-   *invalid* tuples (combo_id = -1), resolved in phase II.
+4. Each draw names the combos it may take (all combos its CC covers, or
+   an ILP variable's one combo); ``resolve_partials`` picks those adding
+   the fewest spurious CC contributions. Leftover tuples get
+   ``combo_unused`` values; bins with no harmless combo produce *invalid*
+   tuples (combo_id = -1), resolved in phase II.
+
+Every step reads one :class:`~.binning.Coverage`, built once per run: the
+CC × bin and CC × combo masks and their bins × combos product, which counts
+the CCs each (bin, combo) cell contributes to.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .binning import Binning, Combos
+from .binning import Binning, Combos, Coverage
 from .constraints import CC
 from .hasse import (
     Alloc,
@@ -47,44 +52,22 @@ class Phase1Result:
     structure: HasseStructure | None = None
 
 
-class _Scorer:
-    """Counts spurious CC contributions of a (bin, combo) assignment."""
-
-    def __init__(self, ccs: list[CC], binning: Binning, combos: Combos):
-        self.cc_ids = [c.cc_id for c in ccs]
-        self.bin_sets = {c.cc_id: set(binning.cond_bin_ids(c.r1).tolist()) for c in ccs}
-        self.combo_sets = {
-            c.cc_id: set(combos.cond_combo_ids(c.r2).tolist()) for c in ccs
-        }
-
-    def score(self, bin_id: int, combo_id: int, allowed: set[int]) -> int:
-        return sum(
-            1
-            for i in self.cc_ids
-            if i not in allowed
-            and bin_id in self.bin_sets[i]
-            and combo_id in self.combo_sets[i]
-        )
-
-
 def resolve_partials(
     allocations: list[Alloc],
-    scorer: _Scorer,
+    cov: Coverage,
     combos: Combos,
     structure: HasseStructure | None,
 ) -> list[tuple[int, int, int]]:
-    """Complete each allocation's partial B-values to a concrete combo.
+    """Give each allocation's tuples concrete combos from its ``combo_ids``.
 
     Returns (bin_id, combo_id, count) rows. A draw made for CC ``c`` may
     freely contribute to ``c`` and its ancestors (that is the point of the
     Hasse recursion); any other contribution is spurious and minimised.
     """
-    nh = dict(
-        zip(combos.table["combo_id"].tolist(), combos.table["n_households"].tolist())
-    )
+    nh = combos.table["n_households"].to_numpy()
     out: list[tuple[int, int, int]] = []
     for a in allocations:
-        elig = combos.matching_partial(a.partial)
+        elig = a.combo_ids
         if len(elig) == 0:
             out.append((a.bin_id, INVALID_COMBO, a.count))
             continue
@@ -93,22 +76,21 @@ def resolve_partials(
             allowed = {a.cc_id}
             if structure is not None:
                 allowed |= structure.ancestors(a.cc_id)
-        scores = {int(c): scorer.score(a.bin_id, int(c), allowed) for c in elig}
-        best_score = min(scores.values())
+        scores = cov.score(a.bin_id, allowed)[elig]
         # split the draw across *all* minimum-score combos proportionally to
         # their household counts: every min-score combo contributes equally
-        # to the allocation's own CC and its ancestors (their conditions are
-        # implied by the partial), so the split preserves exactness while
+        # to the allocation's own CC and its ancestors (all of them lie in
+        # that CC's R2 condition), so the split preserves exactness while
         # keeping phase-II partitions balanced (fewer fresh households, no
         # giant owner cliques)
-        chosen = sorted(c for c, s in scores.items() if s == best_score)
-        w = np.array([max(nh[c], 1) for c in chosen], dtype=float)
+        chosen = elig[scores == scores.min()]
+        w = np.maximum(nh[chosen], 1).astype(float)
         w /= w.sum()
         counts = np.floor(w * a.count).astype(int)
         rem = a.count - counts.sum()
         order = np.argsort(-(w * a.count - counts))
         counts[order[:rem]] += 1
-        for c, cnt in zip(chosen, counts.tolist()):
+        for c, cnt in zip(chosen.tolist(), counts.tolist()):
             if cnt > 0:
                 out.append((a.bin_id, c, cnt))
     return out
@@ -116,40 +98,38 @@ def resolve_partials(
 
 def fill_leftovers(
     avail: dict[int, int],
-    scorer: _Scorer,
+    cov: Coverage,
     combos: Combos,
     rng: np.random.Generator,
 ) -> tuple[list[tuple[int, int, int]], int]:
     """Assign combo_unused values to unallocated tuples (Algorithm 2 lines
-    14–17). Returns allocation rows + the number of invalid tuples."""
+    14–17): a bin's harmless combos are the zero cells of its ``cov.count``
+    row. Returns allocation rows + the number of invalid tuples."""
     rows: list[tuple[int, int, int]] = []
     n_invalid = 0
-    combo_ids = combos.table["combo_id"].tolist()
-    nh_all = dict(
-        zip(combos.table["combo_id"].tolist(), combos.table["n_households"].tolist())
-    )
+    nh = combos.table["n_households"].to_numpy()
     for b, n in sorted(avail.items()):
         if n <= 0:
             continue
-        unused = [c for c in combo_ids if scorer.score(b, c, set()) == 0]
-        if not unused:
+        unused = np.flatnonzero(cov.count[b] == 0)
+        if not len(unused):
             rows.append((b, INVALID_COMBO, n))
             n_invalid += n
             continue
         # spread across the harmless combos proportionally to their household
         # counts: keeps phase-II partitions balanced and minimises the fresh
         # households the coloring has to mint for over-full partitions
-        unused = list(rng.permutation(unused))
-        w = np.array([nh_all[c] for c in unused], dtype=float)
+        unused = rng.permutation(unused)
+        w = nh[unused].astype(float)
         # no harmless combo holds a household (e.g. R2 is empty): split evenly
         w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1 / len(w))
         counts = np.floor(w * n).astype(int)
         rem = n - counts.sum()
         order = np.argsort(-(w * n - counts))
         counts[order[:rem]] += 1
-        for c, cnt in zip(unused, counts.tolist()):
+        for c, cnt in zip(unused.tolist(), counts.tolist()):
             if cnt > 0:
-                rows.append((b, int(c), cnt))
+                rows.append((b, c, cnt))
         avail[b] = 0
     return rows, n_invalid
 
@@ -184,25 +164,24 @@ def hybrid_phase1(
     t_pairwise = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alg2 = alg2_allocate(structure, s1_ids, binning, avail, combos)
+    cov = Coverage.build(ccs, binning, combos)
+    alg2 = alg2_allocate(structure, s1_ids, cov, avail)
     t_recursion = time.perf_counter() - t0
 
     by_id = {c.cc_id: c for c in ccs}
     s2_ccs = [by_id[i] for i in s2_ids]
     alg1 = alg1_allocate(
         s2_ccs,
-        binning,
-        combos,
+        cov,
         avail,
         marginals="restricted",
         restrict_vars=True,
         node_limit=node_limit,
     )
 
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(alg2.allocations, scorer, combos, structure)
-    rows += resolve_partials(alg1.allocations, scorer, combos, None)
-    left, _ = fill_leftovers(avail, scorer, combos, rng)
+    rows = resolve_partials(alg2.allocations, cov, combos, structure)
+    rows += resolve_partials(alg1.allocations, cov, combos, None)
+    left, _ = fill_leftovers(avail, cov, combos, rng)
     rows += left
     n_invalid = sum(c for _, cid, c in rows if cid == INVALID_COMBO)
 

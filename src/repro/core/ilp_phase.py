@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ilp import solve_ilp
-from .binning import Binning, Combos
+from .binning import Coverage
 from .constraints import CC
 from .hasse import Alloc
 
@@ -75,8 +75,7 @@ def _round_per_bin(
 
 def alg1_allocate(
     ccs: list[CC],
-    binning: Binning,
-    combos: Combos,
+    cov: Coverage,
     avail: dict[int, int],
     *,
     marginals: str = "all",
@@ -85,8 +84,10 @@ def alg1_allocate(
 ) -> Alg1Result:
     """Build and solve the Algorithm-1 ILP; return the allocation.
 
-    ``avail`` gives each bin's remaining tuple budget (already net of any
-    Algorithm-2 draws in the hybrid). Mutated in place for assigned counts.
+    ``cov`` covers (at least) ``ccs``; their mask rows give the CC rows and
+    the restricted variable set. ``avail`` gives each bin's remaining tuple
+    budget (already net of any Algorithm-2 draws in the hybrid). Mutated in
+    place for assigned counts.
     """
     import time
 
@@ -95,42 +96,35 @@ def alg1_allocate(
     if not ccs:
         return Alg1Result(allocations=[])
 
-    cc_bins = {cc.cc_id: set(binning.cond_bin_ids(cc.r1).tolist()) for cc in ccs}
-    cc_combos = {cc.cc_id: set(combos.cond_combo_ids(cc.r2).tolist()) for cc in ccs}
+    cc_rows = cov.rows(cc.cc_id for cc in ccs)
+    cc_bins, cc_combos = cov.bins[cc_rows], cov.combos[cc_rows]
+    n_bins, n_combos = cov.count.shape
 
     all_bins = [b for b, n in sorted(avail.items()) if n > 0]
-    all_combos = combos.table["combo_id"].tolist()
-
     if marginals == "all":
         marg_bins = list(all_bins)
     elif marginals == "restricted":
-        rel = set().union(*cc_bins.values()) if cc_bins else set()
-        marg_bins = [b for b in all_bins if b in rel]
+        rel = cc_bins.any(axis=0)
+        marg_bins = [b for b in all_bins if rel[b]]
     else:
         marg_bins = []
 
-    # --- variables -------------------------------------------------------
-    pairs: list[tuple[int, int]] = []  # (bin, combo); combo == -1 is ⊥
+    # --- variables: (bin, combo) in sorted order; combo == -1 is ⊥ -------
     if restrict_vars:
-        seen = set()
-        for cc in ccs:
-            for b in cc_bins[cc.cc_id]:
-                if avail.get(b, 0) <= 0:
-                    continue
-                for c in cc_combos[cc.cc_id]:
-                    if (b, c) not in seen:
-                        seen.add((b, c))
-                        pairs.append((b, c))
-        for b in marg_bins:  # ⊥ slot so marginal rows can leave tuples over
-            pairs.append((b, -1))
+        # cells some CC counts, in bins with tuples left, plus a ⊥ slot per
+        # marginal bin so marginal rows can leave tuples over
+        has_room = np.zeros(n_bins, dtype=bool)
+        has_room[all_bins] = True
+        vb, vc = np.nonzero((cov.cells(cc_rows) > 0) & has_room[:, None])
+        var_bins = np.concatenate([vb, marg_bins]).astype(np.int64)
+        var_combos = np.concatenate([vc, np.full(len(marg_bins), -1)]).astype(np.int64)
+        order = np.lexsort((var_combos, var_bins))
+        var_bins, var_combos = var_bins[order], var_combos[order]
     else:
-        for b in all_bins:
-            for c in all_combos:
-                pairs.append((b, c))
-    pairs.sort()
-    n = len(pairs)
-    var_bins = np.array([b for b, _ in pairs], dtype=np.int64)
-    var_combos = np.array([c for _, c in pairs], dtype=np.int64)
+        var_bins = np.repeat(np.array(all_bins, dtype=np.int64), n_combos)
+        var_combos = np.tile(np.arange(n_combos, dtype=np.int64), len(all_bins))
+    n = len(var_bins)
+    real = var_combos >= 0  # ⊥ must not index the last combo
 
     n_slack = 2 * len(ccs)
     rows = len(marg_bins) + len(ccs)
@@ -138,7 +132,7 @@ def alg1_allocate(
     b_vec = np.zeros(rows)
     c_vec = np.zeros(n + n_slack)
     c_vec[n:] = 1.0                      # CC slack cost
-    c_vec[:n][var_combos == -1] = 1e-3   # mild pressure to assign tuples
+    c_vec[:n][~real] = 1e-3              # mild pressure to assign tuples
 
     r = 0
     bin_totals: dict[int, int] = {}
@@ -147,11 +141,12 @@ def alg1_allocate(
         b_vec[r] = avail[bbin]
         bin_totals[bbin] = avail[bbin]
         r += 1
+    # set only the ones: A starts as untouched zero pages, and writing whole
+    # rows would make every page of the CC rows resident
+    cols = np.flatnonzero(real)
+    col_bins, col_combos = var_bins[cols], var_combos[cols]
     for k, cc in enumerate(ccs):
-        in_cc = np.isin(var_bins, list(cc_bins[cc.cc_id])) & np.isin(
-            var_combos, list(cc_combos[cc.cc_id])
-        )
-        A[r, :n][in_cc] = 1.0
+        A[r, cols[cc_bins[k, col_bins] & cc_combos[k, col_combos]]] = 1.0
         A[r, n + 2 * k] = 1.0       # s+
         A[r, n + 2 * k + 1] = -1.0  # s-
         b_vec[r] = cc.target
@@ -172,11 +167,9 @@ def alg1_allocate(
         integral, nodes = res.integral, res.nodes
 
     allocations: list[Alloc] = []
-    for (bbin, cb), cnt in zip(pairs, x.tolist()):
-        if cnt <= 0 or cb == -1:
-            continue
+    for i in np.flatnonzero((x > 0) & real).tolist():
         allocations.append(
-            Alloc(bin_id=bbin, partial=combos.values_of(cb), count=int(cnt), cc_id=None)
+            Alloc(int(var_bins[i]), var_combos[i : i + 1], int(x[i]), cc_id=None)
         )
     # net the draws out of avail (greedy "at most c_i": cap at availability)
     per_bin: dict[int, int] = {}
@@ -187,7 +180,7 @@ def alg1_allocate(
         take = min(a.count, room)
         if take > 0:
             per_bin[a.bin_id] = used + take
-            capped.append(Alloc(a.bin_id, a.partial, take, a.cc_id))
+            capped.append(Alloc(a.bin_id, a.combo_ids, take, a.cc_id))
     for bbin, used in per_bin.items():
         avail[bbin] -= used
 

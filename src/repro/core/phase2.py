@@ -34,11 +34,11 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .binning import Binning, Combos
+from .binning import Binning, Combos, Coverage
 from .coloring import color_with_extension
 from .conflict import enumerate_edges
 from .constraints import CC, DC
-from .hybrid import INVALID_COMBO, _Scorer
+from .hybrid import INVALID_COMBO
 
 
 def _key_bases(sizes: dict[int, int], max_key: int) -> dict[int, int]:
@@ -103,26 +103,19 @@ def solve_invalid_tuples(
     Returns (assignments[p_id, h_id, combo_id], new_households[h_id,
     combo_id]). A tuple alone in a fresh household cannot violate any
     Foreign-Key DC (arity ≥ 2), so DC satisfaction is preserved. The best
-    combo depends only on the tuple's bin (lowest score, then lowest
-    ``combo_id``); fresh keys follow ``p_id`` order.
+    combo depends only on the tuple's bin: the lowest-id minimum of the
+    bin's row of the CC-coverage count; fresh keys follow ``p_id`` order.
     """
     if invalid_pdf.empty:
         empty = pd.DataFrame(columns=["p_id", "h_id", "combo_id"], dtype=np.int64)
         return empty, empty[["h_id", "combo_id"]]
-    scorer = _Scorer(ccs, binning, combos)
-    combo_ids = combos.table["combo_id"].tolist()
+    best = Coverage.build(ccs, binning, combos).count.argmin(axis=1)
     inv = invalid_pdf.sort_values("p_id")
-    bins = inv["bin_id"].astype(np.int64)
-    # the best combo depends only on the bin: score each distinct bin once
-    best = {
-        b: min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
-        for b in bins.unique().tolist()
-    }
     assign = pd.DataFrame(
         {
             "p_id": inv["p_id"].to_numpy(np.int64),
             "h_id": np.arange(fresh_start, fresh_start + len(inv), dtype=np.int64),
-            "combo_id": bins.map(best).to_numpy(np.int64),
+            "combo_id": best[inv["bin_id"].to_numpy(np.int64)],
         }
     )
     return assign, assign[["h_id", "combo_id"]]

@@ -12,13 +12,12 @@ laptop-class Spark local session. Workload sizes scale likewise (the paper's
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from . import census, workloads
 from .core import metrics
+from .core.constraints import CC, DC
 from .core.pipeline import c_extension
 
 SHRINK = 0.02
@@ -89,34 +88,41 @@ PAPER_TABLE1 = pd.DataFrame(
 )
 
 
-def _one_run(
-    spark: SparkSession,
-    db: census.CensusDB,
-    ccs,
-    dcs,
-    method: str,
-    seed: int = SEED,
-):
-    r1, r2 = db.spark_r1(spark), db.spark_r2(spark)
-    t0 = time.perf_counter()
-    res = c_extension(spark, r1, r2, ccs, dcs, method=method, seed=seed)
-    wall = time.perf_counter() - t0
+def make_ccs(db: census.CensusDB, flavor: str, n_cc: int = N_CC) -> list[CC]:
+    """``S_CC_good`` for ``flavor='good'``, else ``S_CC_bad`` (Table 5)."""
+    make = workloads.make_cc_good if flavor == "good" else workloads.make_cc_bad
+    return make(db, n_cc=n_cc, seed=0)
+
+
+def make_dcs(flavor: str) -> list[DC]:
+    """``S_DC_good`` for ``flavor='good'``, else ``S_DC_all`` (Table 4)."""
+    return workloads.dcs_good() if flavor == "good" else workloads.dcs_all()
+
+
+def run_cell(spark: SparkSession, db: census.CensusDB, ccs, dcs, method: str) -> dict:
+    """One table cell: a pipeline run plus its error metrics and timings.
+
+    The one experiment path: the ``run_*`` tables, ``benchmarks/`` and the
+    tests all go through it, so ``results/*.csv`` rows have its columns.
+    """
+    res = c_extension(
+        spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs,
+        method=method, seed=SEED,
+    )
     rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
     s = metrics.cc_error_summary(rep)
-    de = metrics.dc_error(res.r1_hat, dcs)
     out = {
         "method": method,
         "cc_median": s["median"],
-        "cc_mean": s["mean"],
-        "dc_error": de,
-        "wall_s": wall,
-        "phase1_s": res.timings["phase1_total"],
-        "ilp_s": res.timings["ilp"],
-        "pairwise_s": res.timings["pairwise"],
-        "recursion_s": res.timings["recursion"],
-        "coloring_s": res.timings["coloring"],
+        "cc_mean": round(s["mean"], 4),
+        "dc_error": round(metrics.dc_error(res.r1_hat, dcs), 4),
+        "ilp_s": round(res.timings["ilp"], 3),
+        "pairwise_s": round(res.timings["pairwise"], 3),
+        "recursion_s": round(res.timings["recursion"], 3),
+        "coloring_s": round(res.timings["coloring"], 3),
+        "phase1_s": round(res.timings["phase1_total"], 3),
+        "total_s": round(res.timings["total"], 3),
         "n_persons": len(db.persons),
-        "n_housing": len(db.housing),
     }
     res.vjoin.unpersist()
     res.r1_hat.unpersist()
@@ -150,14 +156,13 @@ def run_fig8(
     shrink: float = SHRINK,
 ) -> pd.DataFrame:
     """Figures 8a (flavor='good') / 8b (flavor='bad'): error vs data scale."""
-    mk = workloads.make_cc_good if flavor == "good" else workloads.make_cc_bad
     dcs = workloads.dcs_all()
     rows = []
     for sc in scales:
         db = census.generate(scale=sc, shrink=shrink, seed=SEED)
-        ccs = mk(db, n_cc=n_cc, seed=0)
+        ccs = make_ccs(db, flavor, n_cc)
         for method in methods:
-            r = _one_run(spark, db, ccs, dcs, method)
+            r = run_cell(spark, db, ccs, dcs, method)
             r.update({"scale": sc, "ccs": flavor})
             rows.append(r)
     return pd.DataFrame(rows)
@@ -183,11 +188,10 @@ def run_fig10(
     db = census.generate(scale=scale, shrink=shrink, seed=SEED)
     rows = []
     for ds, dc_flavor, cc_flavor in FIG10_DATASETS:
-        dcs = workloads.dcs_good() if dc_flavor == "good" else workloads.dcs_all()
-        mk = workloads.make_cc_good if cc_flavor == "good" else workloads.make_cc_bad
-        ccs = mk(db, n_cc=n_cc, seed=0)
+        dcs = make_dcs(dc_flavor)
+        ccs = make_ccs(db, cc_flavor, n_cc)
         for method in methods:
-            r = _one_run(spark, db, ccs, dcs, method)
+            r = run_cell(spark, db, ccs, dcs, method)
             r.update({"dataset": ds, "dcs": dc_flavor, "ccs": cc_flavor})
             rows.append(r)
     return pd.DataFrame(rows)
@@ -204,9 +208,8 @@ def run_fig11(
     rows = []
     for sc in scales:
         db = census.generate(scale=sc, shrink=shrink, seed=SEED)
-        for flavor, mk in (("good", workloads.make_cc_good), ("bad", workloads.make_cc_bad)):
-            ccs = mk(db, n_cc=n_cc, seed=0)
-            r = _one_run(spark, db, ccs, dcs, "hybrid")
+        for flavor in ("good", "bad"):
+            r = run_cell(spark, db, make_ccs(db, flavor, n_cc), dcs, "hybrid")
             r.update({"scale": sc, "ccs": flavor})
             rows.append(r)
     return pd.DataFrame(rows)
@@ -224,8 +227,7 @@ def run_fig12(
     rows = []
     for nc in n_cols:
         db = census.generate(scale=scale, shrink=shrink, seed=SEED, n_r2_cols=nc)
-        ccs = workloads.make_cc_good(db, n_cc=n_cc, seed=0)
-        r = _one_run(spark, db, ccs, dcs, "hybrid")
+        r = run_cell(spark, db, make_ccs(db, "good", n_cc), dcs, "hybrid")
         r.update({"n_r2_cols": nc})
         rows.append(r)
     return pd.DataFrame(rows)
@@ -242,9 +244,8 @@ def run_fig13(
     db = census.generate(scale=scale, shrink=shrink, seed=SEED)
     rows = []
     for n_cc in n_ccs:
-        for flavor, mk in (("good", workloads.make_cc_good), ("bad", workloads.make_cc_bad)):
-            ccs = mk(db, n_cc=n_cc, seed=0)
-            r = _one_run(spark, db, ccs, dcs, "hybrid")
+        for flavor in ("good", "bad"):
+            r = run_cell(spark, db, make_ccs(db, flavor, n_cc), dcs, "hybrid")
             r.update({"n_cc": n_cc, "ccs": flavor})
             rows.append(r)
     return pd.DataFrame(rows)

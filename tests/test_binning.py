@@ -3,7 +3,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.binning import Binning, Combos, active_r2_columns, numeric_columns
+from repro.core.binning import (
+    Binning,
+    Combos,
+    Coverage,
+    active_r2_columns,
+    numeric_columns,
+)
 from repro.core.constraints import CC, Cond
 from tests.conftest import build_phase1_inputs
 
@@ -136,15 +142,18 @@ def test_combos_non_active_column_raises(db):
         c.cond_combo_ids(Cond.of(Tenure="Owned"))
 
 
-def test_combos_matching_partial(db):
-    c = Combos.build(
-        db.housing.groupby(["Tenure", "Area"]).size().reset_index(name="count"),
-        ["Tenure", "Area"],
-    )
-    area = db.housing["Area"].iloc[0]
-    ids = c.matching_partial({"Area": area})
-    assert set(ids) == set(c.cond_combo_ids(Cond.of(Area=area)))
-    assert len(c.matching_partial({})) == len(c)
+def test_coverage_masks_match_cond_ids(db, ccs_bad):
+    binning, combos = build_phase1_inputs(db, ccs_bad)
+    cov = Coverage.build(ccs_bad, binning, combos)
+    assert cov.count.shape == (len(binning.bins), len(combos))
+    want = np.zeros(cov.count.shape, dtype=np.int64)
+    for cc in ccs_bad:
+        i = cov.row[cc.cc_id]
+        bins, cids = binning.cond_bin_ids(cc.r1), combos.cond_combo_ids(cc.r2)
+        np.testing.assert_array_equal(np.flatnonzero(cov.bins[i]), bins)
+        np.testing.assert_array_equal(np.flatnonzero(cov.combos[i]), cids)
+        want[np.ix_(bins, cids)] += 1
+    np.testing.assert_array_equal(cov.count, want)
 
 
 def test_active_r2_columns_union_order():

@@ -3,10 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.binning import Binning, Combos
+from repro.core.binning import Binning, Combos, Coverage
 from repro.core.constraints import CC, Cond
 from repro.core.hasse import alg2_allocate, build_structure, split_s1_s2
-from repro.core.hybrid import hybrid_phase1, _Scorer, resolve_partials
+from repro.core.hybrid import hybrid_phase1, resolve_partials
+from tests.scorer_oracle import Scorer
 
 
 def _cc(i, r1, r2, k):
@@ -98,10 +99,10 @@ def _run_alg2(r1_rows, ccs, r2_counts=None):
     s1, s2 = split_s1_s2(s)
     assert s2 == [], "test expects a non-intersecting CC set"
     avail = binning.avail
-    res = alg2_allocate(s, s1, binning, avail, combos)
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(res.allocations, scorer, combos, s)
-    return res, rows, scorer, avail
+    cov = Coverage.build(ccs, binning, combos)
+    res = alg2_allocate(s, s1, cov, avail)
+    rows = resolve_partials(res.allocations, cov, combos, s)
+    return res, rows, Scorer(ccs, binning, combos), avail
 
 
 def test_alg2_disjoint_base_case_exact():
@@ -181,12 +182,43 @@ def test_alg2_area_only_parent_with_tenure_child():
     s1, s2 = split_s1_s2(s)
     assert s2 == []
     avail = binning.avail
-    res = alg2_allocate(s, s1, binning, avail, combos)
+    cov = Coverage.build(ccs, binning, combos)
+    res = alg2_allocate(s, s1, cov, avail)
     assert res.shortfall == {}
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(res.allocations, scorer, combos, s)
+    scorer = Scorer(ccs, binning, combos)
+    rows = resolve_partials(res.allocations, cov, combos, s)
     assert _achieved(rows, scorer, ccs[1]) == 4
     assert _achieved(rows, scorer, ccs[0]) == 7  # 4 via child + 3 via (C,R)
+
+
+def test_alg2_multi_value_parent_over_child_is_exact():
+    """Prop 4.7 on a parent whose R2 condition names two areas: its draws
+    from the child's bin must take the area the child does not count, so
+    the child keeps exactly its 2 tuples."""
+    rows_r1 = [(30, "A")] * 4 + [(70, "A")] * 4
+    ccs = [
+        _cc(0, {"Rel": "A"}, {"Area": {"C", "N"}}, 8),
+        _cc(1, {"Rel": "A", "Age": (60, 90)}, {"Area": "C"}, 2),
+    ]
+    res, rows, scorer, avail = _run_alg2(rows_r1, ccs)
+    assert res.shortfall == {}
+    for cc in ccs:
+        assert _achieved(rows, scorer, cc) == cc.target, str(cc)
+    assert sum(avail.values()) == 0
+
+
+def test_alg2_parent_skips_child_bin_without_a_free_combo():
+    """A child bin where every combo the parent covers is also the child's
+    is unusable for the parent: it falls short instead of overfilling the
+    child."""
+    rows_r1 = [(30, "A")] * 2 + [(70, "A")] * 4
+    ccs = [
+        _cc(0, {"Rel": "A"}, {"Area": "C"}, 5),
+        _cc(1, {"Rel": "A", "Age": (60, 90)}, {"Area": "C"}, 2),
+    ]
+    res, rows, scorer, _ = _run_alg2(rows_r1, ccs)
+    assert res.shortfall == {0: 1}
+    assert _achieved(rows, scorer, ccs[1]) == 2
 
 
 def test_alg2_shortfall_reported_when_infeasible():
@@ -202,7 +234,7 @@ def test_alg2_respects_avail_mutation():
     binning, combos = _setup(rows_r1, ccs)
     s = build_structure(ccs)
     avail = binning.avail
-    alg2_allocate(s, [0], binning, avail, combos)
+    alg2_allocate(s, [0], Coverage.build(ccs, binning, combos), avail)
     assert sum(avail.values()) == 6  # 10 - 4 left
 
 
@@ -219,7 +251,7 @@ def test_hybrid_allocation_exact_on_consistent_workloads(db, seed, flavor):
     ccs = mk(db, n_cc=60, seed=seed)
     binning, combos = build_phase1_inputs(db, ccs)
     res = hybrid_phase1(ccs, binning, combos, seed=seed)
-    scorer = _Scorer(ccs, binning, combos)
+    scorer = Scorer(ccs, binning, combos)
     rows = list(res.alloc.itertuples(index=False, name=None))
     for cc in ccs:
         assert _achieved(rows, scorer, cc) == cc.target, str(cc)

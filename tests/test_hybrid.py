@@ -3,12 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.binning import Binning, Combos
+from repro.core.binning import Binning, Combos, Coverage
 from repro.core.constraints import CC, Cond
 from repro.core.hasse import Alloc, build_structure
 from repro.core.hybrid import (
     INVALID_COMBO,
-    _Scorer,
     fill_leftovers,
     hybrid_phase1,
     resolve_partials,
@@ -33,11 +32,11 @@ def test_scorer_counts_spurious_contributions():
         ccs, [(1, "A")] * 3,
         {"Area": ["C", "N"], "Tenure": ["O", "O"], "count": [1, 1]},
     )
-    s = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
     c_combo = int(combos.cond_combo_ids(Cond.of(Area="C"))[0])
-    assert s.score(b, c_combo, set()) == 1       # contributes to CC0
-    assert s.score(b, c_combo, {0}) == 0         # allowed
+    assert cov.score(b, set())[c_combo] == 1     # contributes to CC0
+    assert cov.score(b, {0})[c_combo] == 0       # allowed
 
 
 def test_resolve_partials_picks_zero_score_combo():
@@ -50,17 +49,18 @@ def test_resolve_partials_picks_zero_score_combo():
         {"Area": ["C", "C"], "Tenure": ["O", "R"], "count": [2, 2]},
     )
     structure = build_structure(ccs)
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
+    area_c = combos.cond_combo_ids(Cond.of(Area="C"))
     # allocation for parent CC0 (Area=C only) must avoid the (C,O) child combo
     rows = resolve_partials(
-        [Alloc(bin_id=b, partial={"Area": "C"}, count=1, cc_id=0)],
-        scorer,
+        [Alloc(bin_id=b, combo_ids=area_c, count=1, cc_id=0)],
+        cov,
         combos,
         structure,
     )
     (bb, cid, cnt), = rows
-    assert combos.values_of(cid)["Tenure"] == "R"
+    assert combos.table.set_index("combo_id").at[cid, "Tenure"] == "R"
 
 
 def test_resolve_partials_no_matching_combo_marks_invalid():
@@ -69,10 +69,10 @@ def test_resolve_partials_no_matching_combo_marks_invalid():
         ccs, [(1, "A")],
         {"Area": ["C"], "Tenure": ["O"], "count": [1]},
     )
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     rows = resolve_partials(
-        [Alloc(bin_id=0, partial={"Area": "Z"}, count=2, cc_id=0)],
-        scorer,
+        [Alloc(bin_id=0, combo_ids=combos.cond_combo_ids(Cond.of(Area="Z")), count=2, cc_id=0)],
+        cov,
         combos,
         None,
     )
@@ -85,11 +85,11 @@ def test_resolve_partials_split_preserves_total():
         ccs, [(1, "A")] * 9,
         {"Area": ["C", "C", "C"], "Tenure": ["O", "R", "M"], "count": [4, 2, 2]},
     )
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
     rows = resolve_partials(
-        [Alloc(bin_id=b, partial={"Area": "C"}, count=5, cc_id=0)],
-        scorer,
+        [Alloc(bin_id=b, combo_ids=combos.cond_combo_ids(Cond.of(Area="C")), count=5, cc_id=0)],
+        cov,
         combos,
         build_structure(ccs),
     )
@@ -103,10 +103,10 @@ def test_fill_leftovers_uses_unused_combo():
         ccs, [(1, "A")] * 4,
         {"Area": ["C", "N"], "Tenure": ["O", "O"], "count": [1, 1]},
     )
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
     rows, n_invalid = fill_leftovers(
-        {b: 4}, scorer, combos, np.random.default_rng(0)
+        {b: 4}, cov, combos, np.random.default_rng(0)
     )
     assert n_invalid == 0
     n_combo = int(combos.cond_combo_ids(Cond.of(Area="N"))[0])
@@ -122,9 +122,9 @@ def test_fill_leftovers_invalid_when_every_combo_contributes():
         ccs, [(1, "A")] * 4,
         {"Area": ["C", "N"], "Tenure": ["O", "O"], "count": [1, 1]},
     )
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
-    rows, n_invalid = fill_leftovers({b: 4}, scorer, combos, np.random.default_rng(0))
+    rows, n_invalid = fill_leftovers({b: 4}, cov, combos, np.random.default_rng(0))
     assert n_invalid == 4
     assert rows == [(b, INVALID_COMBO, 4)]
 
@@ -156,10 +156,10 @@ def test_fill_leftovers_keeps_tuples_when_no_combo_has_households():
         ccs, [(1, "B")] * 5,
         {"Area": ["N", "S"], "Tenure": ["O", "O"], "count": [0, 0]},
     )
-    scorer = _Scorer(ccs, binning, combos)
+    cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
     with np.errstate(all="raise"):
-        rows, n_invalid = fill_leftovers({b: 5}, scorer, combos, np.random.default_rng(0))
+        rows, n_invalid = fill_leftovers({b: 5}, cov, combos, np.random.default_rng(0))
     assert n_invalid == 0
     assert sum(cnt for _, _, cnt in rows) == 5
     assert sorted(cnt for _, _, cnt in rows) == [2, 3]

@@ -7,11 +7,12 @@ from pyspark.sql import functions as F
 from repro import census, workloads
 from repro.core import metrics, phase2
 from repro.core.constraints import CC, Cond
-from repro.core.hybrid import INVALID_COMBO, _Scorer
+from repro.core.hybrid import INVALID_COMBO
 from repro.core.phase2 import _key_bases, solve_invalid_tuples
 from repro.core.pipeline import c_extension
 from repro.oracle import assert_equivalent
 from tests.conftest import build_phase1_inputs
+from tests.scorer_oracle import Scorer
 
 
 def test_key_bases_disjoint_ranges():
@@ -268,7 +269,7 @@ def test_empty_r2_every_tuple_gets_a_fresh_household(spark, dcs_all):
 
 def _solve_invalid_rowwise(invalid_pdf, ccs, binning, combos, fresh_start):
     """The row-at-a-time ``solve_invalid_tuples`` it replaced."""
-    scorer = _Scorer(ccs, binning, combos)
+    scorer = Scorer(ccs, binning, combos)
     combo_ids = combos.table["combo_id"].tolist()
     rows, news, nxt = [], [], fresh_start
     for _, t in invalid_pdf.sort_values("p_id").iterrows():

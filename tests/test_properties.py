@@ -4,6 +4,8 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import census, workloads
+from repro.core.binning import Coverage
 from repro.core.coloring import color_with_extension, coloring_lf
 from repro.core.conflict import ConflictGraph, enumerate_edges
 from repro.core.constraints import (
@@ -21,6 +23,8 @@ from repro.core.constraints import (
 )
 from repro.ilp import solve_ilp
 from tests import coloring_oracle as oracle
+from tests.conftest import build_phase1_inputs
+from tests.scorer_oracle import Scorer
 
 # --------------------------------------------------------------------- Cond
 interval = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(
@@ -239,3 +243,44 @@ def test_ilp_zero_slack_on_consistent_systems(seed):
     res = solve_ilp(A, b.astype(float), c, node_limit=150)
     assert res.integral
     assert abs(res.objective) < 1e-6
+
+
+# ---------------------------------------------------------- CC coverage
+@st.composite
+def multi_value_ccs(draw, first_id: int):
+    """CCs whose R2 condition names several areas and maybe several tenures."""
+    out = []
+    for i in range(draw(st.integers(0, 4))):
+        r1 = {"Age": draw(st.tuples(st.integers(0, 99), st.integers(0, 40)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ))}
+        if draw(st.booleans()):
+            r1["Rel"] = draw(st.sets(st.sampled_from(census.ROLES[:5]), min_size=1))
+        r2 = {"Area": draw(st.sets(st.sampled_from(census.AREAS), min_size=2))}
+        if draw(st.booleans()):
+            r2["Tenure"] = draw(st.sets(st.sampled_from(census.TENURES), min_size=1))
+        out.append(CC(first_id + i, Cond.of(**r1), Cond.of(**r2), 0))
+    return out
+
+
+@given(
+    st.sampled_from([workloads.make_cc_good, workloads.make_cc_bad]),
+    st.integers(0, 10_000),
+    st.integers(1, 40),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_coverage_score_equals_oracle(db, make_ccs, seed, n_cc, data):
+    """Every (bin, combo) cell's spurious-contribution score from the
+    coverage matrix equals the set-based scorer's, for random allowed sets."""
+    ccs = make_ccs(db, n_cc=n_cc, seed=seed)
+    ccs += data.draw(multi_value_ccs(len(ccs)))
+    binning, combos = build_phase1_inputs(db, ccs)
+    cov = Coverage.build(ccs, binning, combos)
+    scorer = Scorer(ccs, binning, combos)
+    ids = [cc.cc_id for cc in ccs]
+    for _ in range(3):
+        allowed = data.draw(st.sets(st.sampled_from(ids)))
+        for b in binning.bins["bin_id"].tolist():
+            want = [scorer.score(b, c, allowed) for c in range(len(combos))]
+            assert cov.score(b, allowed).tolist() == want
