@@ -1,10 +1,10 @@
-"""Shared benchmark plumbing: cached datasets and the CSV dump.
+"""Shared benchmark plumbing: the CSV dump.
 
-Each ``bench_fig*.py`` parametrizes over the paper table's cells; every cell
-runs the full pipeline once through ``repro.experiments.run_cell``
+``bench_tables.py`` parametrizes over the cells of the paper's tables; every
+cell runs the full pipeline once through ``repro.experiments.run_table``
 (``pedantic(rounds=1)`` — these are end-to-end system benchmarks, not
-microbenchmarks). Error metrics go into ``benchmark.extra_info`` and
-accumulate into ``results/<table>.csv`` via a session finalizer, so
+microbenchmarks). Each benchmark's row goes into ``benchmark.extra_info``
+and accumulates into ``results/<table>.csv`` via a session finalizer, so
 ``pytest benchmarks/ --benchmark-only`` leaves both the timing table and
 the error tables behind.
 """
@@ -16,21 +16,8 @@ from collections import defaultdict
 
 import pandas as pd
 
-from repro import census
-from repro.experiments import SEED, SHRINK
-
-_DB_CACHE: dict = {}
 _RESULTS: dict[str, list[dict]] = defaultdict(list)
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-
-
-def get_db(scale: float, n_r2_cols: int = 2) -> census.CensusDB:
-    key = (scale, n_r2_cols)
-    if key not in _DB_CACHE:
-        _DB_CACHE[key] = census.generate(
-            scale=scale, shrink=SHRINK, seed=SEED, n_r2_cols=n_r2_cols
-        )
-    return _DB_CACHE[key]
 
 
 def record(table: str, row: dict, benchmark=None) -> None:

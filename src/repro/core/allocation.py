@@ -10,9 +10,11 @@ assignment to concrete tuples is a single distributed pass:
 3. turn the allocation rows into per-bin ``[start, end)`` index ranges and
    range-join them, yielding each tuple's ``combo_id``.
 
-Tuples beyond the allocated ranges (possible for the marginal-free baseline,
-whose ILP may over-allocate a bin — "find *at most* c_i tuples") fall out
-with a null combo; the caller decides the leftover strategy.
+Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
+draws are capped at a bin's availability and the leftovers are filled), and
+``c_extension`` rejects null attributes, so no tuple falls outside the
+ranges; the two null-combo fills below are kept for the benchmark's tracer,
+which wraps them by name.
 """
 from __future__ import annotations
 

@@ -21,6 +21,10 @@ from .constraints import CC
 from .hybrid import Phase1Result, _to_frame
 from .ilp_phase import alg1_allocate
 
+#: Branch-and-bound nodes for the full bins × combos ILP; past them the
+#: fractional solution is rounded per bin.
+NODE_LIMIT = 4
+
 
 def baseline_phase1(
     ccs: list[CC],
@@ -29,7 +33,6 @@ def baseline_phase1(
     *,
     with_marginals: bool,
     seed: int = 0,
-    node_limit: int = 4,
 ) -> Phase1Result:
     rng = np.random.default_rng(seed)
     avail = binning.avail
@@ -38,14 +41,14 @@ def baseline_phase1(
         Coverage.build(ccs, binning, combos),
         avail,
         marginals="all" if with_marginals else "none",
-        restrict_vars=False,
-        node_limit=node_limit,
+        node_limit=NODE_LIMIT,
     )
     rows = [(a.bin_id, int(a.combo_ids[0]), a.count) for a in alg1.allocations]
     # random completion of unassigned tuples (baseline's leftover strategy)
     combo_ids = combos.table["combo_id"].to_numpy()
     weights = combos.table["n_households"].to_numpy().astype(float)
-    weights /= weights.sum()
+    # no combo holds a household (e.g. R2 is empty): draw combos uniformly
+    weights = weights / weights.sum() if weights.sum() > 0 else None
     for b, n in sorted(avail.items()):
         if n <= 0:
             continue
@@ -58,12 +61,5 @@ def baseline_phase1(
         timings={"pairwise": 0.0, "recursion": 0.0, "ilp": alg1.ilp_time},
         s1_ids=[],
         s2_ids=[c.cc_id for c in ccs],
-        ilp_info={
-            "n_vars": alg1.n_vars,
-            "n_rows": alg1.n_rows,
-            "integral": alg1.integral,
-            "nodes": alg1.nodes,
-            "slack": alg1.slack,
-        },
     )
 

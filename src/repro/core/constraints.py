@@ -83,10 +83,6 @@ class Cond:
     def of(**kwargs) -> "Cond":
         return Cond(tuple(sorted((k, _as_spec(v)) for k, v in kwargs.items())))
 
-    @staticmethod
-    def from_mapping(m: Mapping[str, object]) -> "Cond":
-        return Cond.of(**dict(m))
-
     # -- accessors ---------------------------------------------------------
     @property
     def columns(self) -> tuple[str, ...]:
@@ -170,17 +166,6 @@ class Cond:
                 vals = ", ".join(_sql_lit(v) for v in sorted(s[1], key=repr))
                 parts.append(f"{ref} IN ({vals})")
         return " AND ".join(parts)
-
-    def spark_col(self, F, dataframe=None):
-        """Render as a pyspark Column (``F`` = pyspark.sql.functions)."""
-        expr = F.lit(True)
-        for c, s in self.specs:
-            ref = dataframe[c] if dataframe is not None else F.col(c)
-            if s[0] == RANGE:
-                expr = expr & (ref >= s[1]) & (ref <= s[2])
-            else:
-                expr = expr & ref.isin(list(s[1]))
-        return expr
 
     def __str__(self) -> str:  # compact human-readable form
         bits = []

@@ -49,10 +49,9 @@ class Alloc:
 
 @dataclass
 class HasseStructure:
-    """Pairwise labels + containment DAG + diagrams over a CC set."""
+    """Containment DAG + diagrams over a CC set."""
 
     ccs: list[CC]
-    labels: dict[tuple[int, int], str]          # (i, j) i<j → relationship
     children: dict[int, list[int]]              # Hasse edges parent → children
     parents: dict[int, list[int]]
     component: dict[int, int]                   # cc_id → diagram id
@@ -64,12 +63,6 @@ class HasseStructure:
             for c in self.ccs
             if self.component[c.cc_id] == comp_id and not self.parents[c.cc_id]
         ]
-
-    def component_ids(self) -> list[int]:
-        return sorted(set(self.component.values()))
-
-    def members(self, comp_id: int) -> list[int]:
-        return [c.cc_id for c in self.ccs if self.component[c.cc_id] == comp_id]
 
     def ancestors(self, cc_id: int) -> set[int]:
         out: set[int] = set()
@@ -88,7 +81,6 @@ def build_structure(ccs: list[CC]) -> HasseStructure:
     EQUAL pairs are oriented lower-id ⊇ higher-id so the DAG stays acyclic.
     """
     n = len(ccs)
-    labels: dict[tuple[int, int], str] = {}
     contains_edges: set[tuple[int, int]] = set()  # (parent, child)
     intersecting: list[tuple[int, int]] = []
     ids = [c.cc_id for c in ccs]
@@ -97,7 +89,6 @@ def build_structure(ccs: list[CC]) -> HasseStructure:
         for b in range(a + 1, n):
             i, j = ids[a], ids[b]
             rel = cc_relationship(by_id[i], by_id[j])
-            labels[(i, j)] = rel
             if rel == CONTAINS:
                 contains_edges.add((i, j))
             elif rel == CONTAINED:
@@ -147,7 +138,6 @@ def build_structure(ccs: list[CC]) -> HasseStructure:
         cid += 1
     return HasseStructure(
         ccs=ccs,
-        labels=labels,
         children=children,
         parents=parents,
         component=comp,

@@ -36,6 +36,8 @@ from .hasse import (
 from .ilp_phase import alg1_allocate
 
 INVALID_COMBO = -1
+#: Branch-and-bound nodes for the restricted S2 ILP.
+NODE_LIMIT = 50
 
 
 @dataclass
@@ -48,7 +50,6 @@ class Phase1Result:
     s2_ids: list[int] = field(default_factory=list)
     shortfall: dict[int, int] = field(default_factory=dict)
     n_invalid: int = 0
-    ilp_info: dict = field(default_factory=dict)
     structure: HasseStructure | None = None
 
 
@@ -152,7 +153,6 @@ def hybrid_phase1(
     combos: Combos,
     *,
     seed: int = 0,
-    node_limit: int = 50,
 ) -> Phase1Result:
     """Run the full hybrid phase I; see module docstring."""
     rng = np.random.default_rng(seed)
@@ -171,12 +171,7 @@ def hybrid_phase1(
     by_id = {c.cc_id: c for c in ccs}
     s2_ccs = [by_id[i] for i in s2_ids]
     alg1 = alg1_allocate(
-        s2_ccs,
-        cov,
-        avail,
-        marginals="restricted",
-        restrict_vars=True,
-        node_limit=node_limit,
+        s2_ccs, cov, avail, marginals="restricted", node_limit=NODE_LIMIT
     )
 
     rows = resolve_partials(alg2.allocations, cov, combos, structure)
@@ -196,12 +191,5 @@ def hybrid_phase1(
         s2_ids=s2_ids,
         shortfall=alg2.shortfall,
         n_invalid=n_invalid,
-        ilp_info={
-            "n_vars": alg1.n_vars,
-            "n_rows": alg1.n_rows,
-            "integral": alg1.integral,
-            "nodes": alg1.nodes,
-            "slack": alg1.slack,
-        },
         structure=structure,
     )

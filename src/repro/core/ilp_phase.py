@@ -10,14 +10,14 @@ falls back to per-bin largest-remainder rounding when the node limit is hit.
 
 ``marginals``:
   * ``'none'``        — the plain baseline (Algorithm 1 without line 8);
-  * ``'all'``         — every bin (baseline-with-marginals, hybrid default);
+  * ``'all'``         — every bin (baseline-with-marginals);
   * ``'restricted'``  — only bins relevant to the given CCs (the hybrid's
-    "modified marginals" of §4.3).
+    "modified marginals" of §4.3), with variables limited to the (bin,
+    combo) pairs that can contribute to some CC plus a ⊥ (unassigned)
+    variable per marginal bin — the hybrid's smaller ILP.
 
-``restrict_vars``: with marginals, limit variables to (bin, combo) pairs that
-can contribute to some CC plus a ⊥ (unassigned) variable per bin — the
-hybrid's smaller ILP. Without it the full bins × combos cross product is
-used, which reproduces the baselines' large-ILP behaviour.
+The other two use the full bins × combos cross product, which reproduces
+the baselines' large-ILP behaviour.
 """
 from __future__ import annotations
 
@@ -79,7 +79,6 @@ def alg1_allocate(
     avail: dict[int, int],
     *,
     marginals: str = "all",
-    restrict_vars: bool = False,
     node_limit: int = 50,
 ) -> Alg1Result:
     """Build and solve the Algorithm-1 ILP; return the allocation.
@@ -110,7 +109,7 @@ def alg1_allocate(
         marg_bins = []
 
     # --- variables: (bin, combo) in sorted order; combo == -1 is ⊥ -------
-    if restrict_vars:
+    if marginals == "restricted":
         # cells some CC counts, in bins with tuples left, plus a ⊥ slot per
         # marginal bin so marginal rows can leave tuples over
         has_room = np.zeros(n_bins, dtype=bool)

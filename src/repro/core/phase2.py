@@ -71,8 +71,10 @@ def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str):
     return fn
 
 
-def _random_fn(seed: int, r2_key: str):
-    """Baseline phase II: uniformly random candidate key per tuple."""
+def _random_fn(seed: int, bases: dict[int, int], r2_key: str):
+    """Baseline phase II: uniformly random candidate key per tuple; with no
+    candidate (no R2 row has the combo) each tuple gets its own fresh key
+    from the partition's reserved range."""
 
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
@@ -80,10 +82,14 @@ def _random_fn(seed: int, r2_key: str):
         combo_id = int(key[0])
         g = np.random.default_rng(seed + combo_id)
         keys = np.sort(right[r2_key].to_numpy())
+        if len(keys):
+            h_id = g.choice(keys, size=len(left))
+        else:
+            h_id = bases[combo_id] + np.arange(len(left))
         return pd.DataFrame(
             {
                 "p_id": np.sort(left["p_id"].to_numpy(np.int64)),
-                "h_id": g.choice(keys, size=len(left)).astype(np.int64),
+                "h_id": h_id.astype(np.int64),
                 "combo_id": np.int64(combo_id),
             }
         )
@@ -155,7 +161,7 @@ def complete_fk(
     fn = (
         _coloring_fn(dcs, bases, r2_key)
         if strategy == "coloring"
-        else _random_fn(seed, r2_key)
+        else _random_fn(seed, bases, r2_key)
     )
     assign = (
         vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)

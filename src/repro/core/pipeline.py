@@ -56,7 +56,6 @@ def c_extension(
     *,
     method: str = "hybrid",
     seed: int = 0,
-    node_limit: int = 50,
     r1_key: str = "p_id",
     r2_key: str = "h_id",
     fk: str = "h_id",
@@ -68,6 +67,10 @@ def c_extension(
     snowflake driver, where the accumulated view carries already-imputed FK
     columns that must not become bin keys). CC R1-conditions may only
     reference these columns.
+
+    Raises ``ValueError`` when an R1 attribute column holds a null (its
+    tuples would fall in no bin) or when R2 is empty while some CC has an
+    R2 condition (no B-combo exists to assign).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -78,18 +81,23 @@ def c_extension(
         r1_df = r1_df.withColumnRenamed(r1_key, "p_id")
 
     distinct_counts = r1_df.groupBy(*attrs).count().toPandas()
+    null_cols = [c for c in attrs if distinct_counts[c].isna().any()]
+    if null_cols:
+        raise ValueError(f"R1 attribute columns {null_cols} hold nulls")
     binning = Binning.build(distinct_counts, ccs, attrs)
 
     active = active_r2_columns(ccs)
     aggs = [F.count("*").alias("count"), F.max(r2_key).alias("__max_key")]
     active_counts = r2_df.groupBy(*active).agg(*aggs).toPandas()
+    if active and active_counts.empty:
+        raise ValueError(f"R2 is empty but CCs have conditions on {active}")
     max_key = active_counts.pop("__max_key").max()
     max_key = 0 if pd.isna(max_key) else int(max_key)
     combos = Combos.build(active_counts, active)
 
     t0 = time.perf_counter()
     if method == "hybrid":
-        p1 = hybrid_phase1(ccs, binning, combos, seed=seed, node_limit=node_limit)
+        p1 = hybrid_phase1(ccs, binning, combos, seed=seed)
     else:
         p1 = baseline_phase1(
             ccs,
@@ -97,7 +105,6 @@ def c_extension(
             combos,
             with_marginals=(method == "baseline_marginals"),
             seed=seed,
-            node_limit=min(node_limit, 4),
         )
     t_phase1 = time.perf_counter() - t0
 

@@ -1,9 +1,12 @@
 """Experiment harness reproducing the evaluation tables (§6).
 
-Each ``run_*`` function reproduces one table of the paper's evaluation and
-returns a pandas DataFrame with one row per table cell group. The paper's
-published numbers are kept alongside in ``PAPER_*`` constants so
-EXPERIMENTS.md can diff them (see also jobs/ and benchmarks/).
+:data:`TABLES` defines each table of the paper's evaluation (Figs 8a/8b/10/
+11b/12/13) once, as data: the cell fields it holds fixed, the axes it sweeps
+and the labels its rows carry. :func:`run_table` runs a table's cells through
+:func:`run_cell`, the one experiment path; ``benchmarks/bench_tables.py``
+runs the same cells one benchmark each and writes ``results/<table>.csv``,
+and ``jobs/run_table.py`` prints a table. The paper's published numbers are
+kept alongside in ``PAPER_*`` constants so EXPERIMENTS.md can diff them.
 
 Scale substitution (DESIGN.md §3): the paper's 1× = 25,099 persons; we run
 at ``SHRINK`` (default 0.02 → 1× ≈ 500 persons) so the full grid fits a
@@ -11,6 +14,10 @@ laptop-class Spark local session. Workload sizes scale likewise (the paper's
 1001 CCs → ``N_CC`` ≈ 140).
 """
 from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -102,8 +109,8 @@ def make_dcs(flavor: str) -> list[DC]:
 def run_cell(spark: SparkSession, db: census.CensusDB, ccs, dcs, method: str) -> dict:
     """One table cell: a pipeline run plus its error metrics and timings.
 
-    The one experiment path: the ``run_*`` tables, ``benchmarks/`` and the
-    tests all go through it, so ``results/*.csv`` rows have its columns.
+    The one experiment path: ``run_table``, ``benchmarks/`` and the tests
+    all go through it, so ``results/*.csv`` rows have its columns.
     """
     res = c_extension(
         spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs,
@@ -147,107 +154,103 @@ def run_table1(scales=(1, 2, 5, 10, 40, 80, 120, 160), shrink=SHRINK) -> pd.Data
     return pd.DataFrame(rows)
 
 
-def run_fig8(
-    spark: SparkSession,
-    flavor: str,
-    scales=(1, 2, 5, 10),
-    methods=("baseline", "baseline_marginals", "hybrid"),
-    n_cc: int = N_CC,
-    shrink: float = SHRINK,
+@functools.cache
+def census_db(scale: float, n_r2_cols: int, shrink: float) -> census.CensusDB:
+    """The database of a cell, generated once per process; callers share it
+    and must not modify it."""
+    return census.generate(scale=scale, shrink=shrink, seed=SEED, n_r2_cols=n_r2_cols)
+
+
+@dataclass
+class Table:
+    """One evaluation table as a grid of cells.
+
+    A cell sets ``method``, ``dcs``/``ccs`` (the DC and CC flavor: ``make_dcs``
+    / ``make_ccs``), ``scale``, ``n_cc`` and ``n_r2_cols``; a Table 2
+    ``dataset`` id sets ``dcs`` and ``ccs`` instead. ``fixed`` holds the
+    fields every cell shares, ``axes`` the swept ones (the first varies
+    slowest), and ``labels`` the fields each row carries after
+    ``run_cell``'s columns: the trailing columns of ``results/<table>.csv``.
+    """
+
+    title: str
+    fixed: dict
+    axes: dict
+    labels: tuple[str, ...]
+
+    def cells(self, **override) -> list[dict]:
+        """The cells in row order. ``override`` replaces an axis's values
+        (a sequence) or a fixed field's value."""
+        unknown = set(override) - set(self.fixed) - set(self.axes)
+        if unknown:
+            raise ValueError(f"{self.title} has no field {sorted(unknown)}")
+        fixed = {k: override.get(k, v) for k, v in self.fixed.items()}
+        axes = {k: tuple(override.get(k, v)) for k, v in self.axes.items()}
+        cells = [dict(fixed, **dict(zip(axes, vs))) for vs in itertools.product(*axes.values())]
+        for c in cells:
+            if "dataset" in c:
+                c["dcs"], c["ccs"] = TABLE2_DATASETS[c["dataset"]]
+        return cells
+
+
+#: The paper's method order (its table columns).
+METHODS = ("baseline", "baseline_marginals", "hybrid")
+
+#: Table 2 datasets of Figure 10: id → (DC set, CC set).
+TABLE2_DATASETS = {11: ("good", "good"), 12: ("good", "bad"), 4: ("all", "good"), 9: ("all", "bad")}
+
+TABLES = {
+    "fig8a": Table(
+        "Figure 8a: error vs data scale, S_DC_all + S_CC_good",
+        fixed=dict(dcs="all", ccs="good", n_cc=N_CC, n_r2_cols=2),
+        axes=dict(method=METHODS, scale=(1, 2, 5, 10)),
+        labels=("scale",),
+    ),
+    "fig8b": Table(
+        "Figure 8b: error vs data scale, S_DC_all + S_CC_bad",
+        fixed=dict(dcs="all", ccs="bad", n_cc=N_CC, n_r2_cols=2),
+        axes=dict(method=METHODS, scale=(1, 2, 5, 10)),
+        labels=("scale",),
+    ),
+    "fig10": Table(
+        "Figure 10: good/bad DC x CC sets at 10x",
+        fixed=dict(scale=10, n_cc=N_CC, n_r2_cols=2),
+        axes=dict(method=METHODS, dataset=tuple(TABLE2_DATASETS)),
+        labels=("dataset", "dcs", "ccs"),
+    ),
+    "fig11b": Table(
+        "Figure 11b: hybrid runtime vs data scale, S_DC_good",
+        fixed=dict(method="hybrid", dcs="good", n_cc=N_CC, n_r2_cols=2),
+        axes=dict(ccs=("good", "bad"), scale=(10, 20, 40)),
+        labels=("scale", "ccs"),
+    ),
+    "fig12": Table(
+        "Figure 12: hybrid runtime vs R2 columns at 10x",
+        fixed=dict(method="hybrid", dcs="good", ccs="good", scale=10, n_cc=N_CC),
+        axes=dict(n_r2_cols=(2, 4, 6, 8, 10)),
+        labels=("n_r2_cols",),
+    ),
+    "fig13": Table(
+        "Figure 13: hybrid runtime breakdown vs CC-set size at 10x, S_DC_all",
+        fixed=dict(method="hybrid", dcs="all", scale=10, n_r2_cols=2),
+        axes=dict(ccs=("good", "bad"), n_cc=(60, 100, 140)),
+        labels=("n_cc", "ccs"),
+    ),
+}
+
+
+def run_table(
+    spark: SparkSession, name: str, *, shrink: float = SHRINK, **override
 ) -> pd.DataFrame:
-    """Figures 8a (flavor='good') / 8b (flavor='bad'): error vs data scale."""
-    dcs = workloads.dcs_all()
+    """Run the cells of ``TABLES[name]`` (narrowed or extended by
+    ``override``, see ``Table.cells``): one row per cell."""
+    table = TABLES[name]
     rows = []
-    for sc in scales:
-        db = census.generate(scale=sc, shrink=shrink, seed=SEED)
-        ccs = make_ccs(db, flavor, n_cc)
-        for method in methods:
-            r = run_cell(spark, db, ccs, dcs, method)
-            r.update({"scale": sc, "ccs": flavor})
-            rows.append(r)
-    return pd.DataFrame(rows)
-
-
-#: Table 2 datasets 11, 12, 4, 9 — (DC set, CC set) combos at scale 10×.
-FIG10_DATASETS = [
-    (11, "good", "good"),
-    (12, "good", "bad"),
-    (4, "all", "good"),
-    (9, "all", "bad"),
-]
-
-
-def run_fig10(
-    spark: SparkSession,
-    scale: float = 10,
-    methods=("baseline", "baseline_marginals", "hybrid"),
-    n_cc: int = N_CC,
-    shrink: float = SHRINK,
-) -> pd.DataFrame:
-    """Figure 10: good/bad DC × CC combos at fixed scale."""
-    db = census.generate(scale=scale, shrink=shrink, seed=SEED)
-    rows = []
-    for ds, dc_flavor, cc_flavor in FIG10_DATASETS:
-        dcs = make_dcs(dc_flavor)
-        ccs = make_ccs(db, cc_flavor, n_cc)
-        for method in methods:
-            r = run_cell(spark, db, ccs, dcs, method)
-            r.update({"dataset": ds, "dcs": dc_flavor, "ccs": cc_flavor})
-            rows.append(r)
-    return pd.DataFrame(rows)
-
-
-def run_fig11(
-    spark: SparkSession,
-    scales=(10, 20, 40),
-    n_cc: int = N_CC,
-    shrink: float = SHRINK,
-) -> pd.DataFrame:
-    """Figure 11b (shape): hybrid runtime vs scale, good DCs, good/bad CCs."""
-    dcs = workloads.dcs_good()
-    rows = []
-    for sc in scales:
-        db = census.generate(scale=sc, shrink=shrink, seed=SEED)
-        for flavor in ("good", "bad"):
-            r = run_cell(spark, db, make_ccs(db, flavor, n_cc), dcs, "hybrid")
-            r.update({"scale": sc, "ccs": flavor})
-            rows.append(r)
-    return pd.DataFrame(rows)
-
-
-def run_fig12(
-    spark: SparkSession,
-    n_cols=(2, 4, 6, 8, 10),
-    scale: float = 10,
-    n_cc: int = N_CC,
-    shrink: float = SHRINK,
-) -> pd.DataFrame:
-    """Figure 12 (shape): hybrid runtime as the number of R2 columns grows."""
-    dcs = workloads.dcs_good()
-    rows = []
-    for nc in n_cols:
-        db = census.generate(scale=scale, shrink=shrink, seed=SEED, n_r2_cols=nc)
-        r = run_cell(spark, db, make_ccs(db, "good", n_cc), dcs, "hybrid")
-        r.update({"n_r2_cols": nc})
-        rows.append(r)
-    return pd.DataFrame(rows)
-
-
-def run_fig13(
-    spark: SparkSession,
-    n_ccs=(60, 100, 140),
-    scale: float = 10,
-    shrink: float = SHRINK,
-) -> pd.DataFrame:
-    """Figure 13: hybrid runtime breakdown vs CC-set size, good vs bad."""
-    dcs = workloads.dcs_all()
-    db = census.generate(scale=scale, shrink=shrink, seed=SEED)
-    rows = []
-    for n_cc in n_ccs:
-        for flavor in ("good", "bad"):
-            r = run_cell(spark, db, make_ccs(db, flavor, n_cc), dcs, "hybrid")
-            r.update({"n_cc": n_cc, "ccs": flavor})
-            rows.append(r)
+    for cell in table.cells(**override):
+        db = census_db(cell["scale"], cell["n_r2_cols"], shrink)
+        ccs = make_ccs(db, cell["ccs"], cell["n_cc"])
+        row = run_cell(spark, db, ccs, make_dcs(cell["dcs"]), cell["method"])
+        rows.append({**row, **{k: cell[k] for k in table.labels}})
     return pd.DataFrame(rows)
 
 

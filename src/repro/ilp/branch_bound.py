@@ -1,6 +1,6 @@
 """Branch-and-bound integer programming over the simplex LP engine.
 
-Solves ``min c·x  s.t.  A x = b, x >= 0, x_i integer for i in int_mask``.
+Solves ``min c·x  s.t.  A x = b, x >= 0, x integer``.
 Branching adds bound rows (``x_i <= f`` / ``x_i >= f+1``) as explicit
 equality rows with slack/surplus columns, so the LP stays in standard form.
 
@@ -64,16 +64,12 @@ def solve_ilp(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    int_mask: np.ndarray | None = None,
     node_limit: int = 200,
 ) -> ILPResult:
-    """Branch and bound. ``int_mask`` defaults to all variables integral."""
+    """Branch and bound over all-integer variables."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    n = A.shape[1]
-    if int_mask is None:
-        int_mask = np.ones(n, dtype=bool)
 
     root = solve_lp(A, b, c)
     if root.status != OPTIMAL:
@@ -83,8 +79,7 @@ def solve_ilp(
     nodes = 1
 
     def fractional(x):
-        f = np.where(int_mask & (np.abs(x - np.round(x)) > _INT_TOL))[0]
-        return f
+        return np.flatnonzero(np.abs(x - np.round(x)) > _INT_TOL)
 
     frac = fractional(root.x)
     if frac.size == 0:

@@ -1,8 +1,15 @@
-"""Tests for the experiment harness (table runners)."""
+"""Tests for the experiment harness (the table grid and its runner)."""
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
 from repro import experiments
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+#: Cells per table of the paper's evaluation at our grid.
+CELL_COUNTS = {"fig8a": 12, "fig8b": 12, "fig10": 12, "fig11b": 6, "fig12": 5, "fig13": 6}
 
 
 def test_table1_counts_and_paper_columns():
@@ -20,12 +27,36 @@ def test_paper_constants_shapes():
 
 
 def test_fig10_dataset_grid_matches_table2():
-    assert experiments.FIG10_DATASETS == [
+    cells = experiments.TABLES["fig10"].cells(method=("hybrid",))
+    assert [(c["dataset"], c["dcs"], c["ccs"]) for c in cells] == [
         (11, "good", "good"),
         (12, "good", "bad"),
         (4, "all", "good"),
         (9, "all", "bad"),
     ]
+
+
+def test_tables_have_the_papers_cell_counts():
+    tables = experiments.TABLES
+    assert {name: len(t.cells()) for name, t in tables.items()} == CELL_COUNTS
+
+
+@pytest.mark.parametrize("name", sorted(CELL_COUNTS))
+def test_table_labels_are_the_trailing_csv_columns(name):
+    header = (RESULTS / f"{name}.csv").read_text().splitlines()[0].split(",")
+    labels = experiments.TABLES[name].labels
+    assert tuple(header[-len(labels):]) == labels
+    assert not set(labels) & set(header[: -len(labels)])
+
+
+def test_table_override_narrows_extends_and_rejects_unknown_fields():
+    cells = experiments.TABLES["fig8a"].cells(scale=(1, 40), method=("hybrid",), n_cc=30)
+    assert [(c["method"], c["scale"], c["n_cc"]) for c in cells] == [
+        ("hybrid", 1, 30),
+        ("hybrid", 40, 30),
+    ]
+    with pytest.raises(ValueError):
+        experiments.TABLES["fig12"].cells(dataset=(11,))
 
 
 def test_format_table_contains_values():
@@ -34,8 +65,8 @@ def test_format_table_contains_values():
 
 
 def test_run_fig8_smoke(spark):
-    df = experiments.run_fig8(
-        spark, "good", scales=(1,), methods=("hybrid",), n_cc=30, shrink=0.01
+    df = experiments.run_table(
+        spark, "fig8a", scale=(1,), method=("hybrid",), n_cc=30, shrink=0.01
     )
     assert len(df) == 1
     assert df["dc_error"].iloc[0] == 0.0
@@ -43,7 +74,7 @@ def test_run_fig8_smoke(spark):
 
 
 def test_run_fig13_smoke(spark):
-    df = experiments.run_fig13(spark, n_ccs=(20,), scale=1, shrink=0.01)
+    df = experiments.run_table(spark, "fig13", n_cc=(20,), scale=1, shrink=0.01)
     assert len(df) == 2
     good = df[df.ccs == "good"].iloc[0]
     assert good["ilp_s"] == 0.0

@@ -65,13 +65,11 @@ def test_example_41_without_marginals_can_err(example_41):
 
 def test_restricted_marginals_only_touch_relevant_bins(example_41):
     binning, combos, ccs = example_41
-    # only the Owner CC → bins for Spouse/Child get no marginal row; with
-    # restrict_vars their tuples are not assigned at all
+    # only the Owner CC → bins for Spouse/Child get no marginal row, and
+    # with the restricted variables their tuples are not assigned at all
     owner_cc = [ccs[0]]
     avail = binning.avail
-    res = _alg1(
-        owner_cc, binning, combos, avail, marginals="restricted", restrict_vars=True
-    )
+    res = _alg1(owner_cc, binning, combos, avail, marginals="restricted")
     scorer = Scorer(owner_cc, binning, combos)
     assert _achieved(res.allocations, scorer, combos, owner_cc[0]) == 4
     touched_bins = {a.bin_id for a in res.allocations}
@@ -117,9 +115,7 @@ def test_bottom_variable_never_counts_for_the_last_combo():
     )
     combos = Combos.build(pd.DataFrame({"Area": ["C", "N"], "count": [3, 3]}), ["Area"])
     avail = binning.avail
-    res = _alg1(
-        ccs, binning, combos, avail, marginals="restricted", restrict_vars=True
-    )
+    res = _alg1(ccs, binning, combos, avail, marginals="restricted")
     assert res.n_vars == 2  # (bin, N) and (bin, ⊥)
     assert res.slack == 0
     assert _achieved(res.allocations, Scorer(ccs, binning, combos), combos, ccs[0]) == 2

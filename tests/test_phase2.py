@@ -147,7 +147,7 @@ def test_partition_fn_independent_of_row_order(db, dcs_all, strategy):
     fn = (
         phase2._coloring_fn(dcs_all, {0: 10_000}, "h_id")
         if strategy == "coloring"
-        else phase2._random_fn(5, "h_id")
+        else phase2._random_fn(5, {0: 10_000}, "h_id")
     )
     left = db.persons_missing_fk().assign(combo_id=0)
     right = db.housing.assign(combo_id=0)
@@ -263,6 +263,31 @@ def test_empty_r2_every_tuple_gets_a_fresh_household(spark, dcs_all):
         assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
         rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
         assert metrics.cc_error_summary(rep)["max"] == 0.0
+    finally:
+        _release(res)
+
+
+@pytest.mark.parametrize("method", ["baseline", "baseline_marginals"])
+def test_empty_r2_baselines_give_every_tuple_a_fresh_household(spark, dcs_all, method):
+    """R2 empty and CCs over no R2 column under the baselines: phase I splits
+    the tuples over the household-less combo, and phase II's random draw
+    mints a fresh household per tuple instead of drawing from no keys."""
+    db = census.generate(scale=1.0, shrink=0.01, seed=35)
+    r2 = db.spark_r2(spark).limit(0)
+    persons = db.persons
+    ccs = [
+        CC(0, Cond.of(Rel="Owner"), Cond.of(), int((persons["Rel"] == "Owner").sum())),
+        CC(1, Cond.of(Age=(0, 17)), Cond.of(), int((persons["Age"] <= 17).sum())),
+    ]
+    res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, method=method, seed=0)
+    try:
+        assert res.phase1.alloc["count"].sum() == len(persons)
+        r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
+        assert len(r1_hat) == len(persons)
+        assert r1_hat["h_id"].notna().all()
+        assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
+        assert r2_hat["h_id"].is_unique
+        assert len(r2_hat) == len(persons)
     finally:
         _release(res)
 

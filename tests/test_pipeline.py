@@ -11,7 +11,8 @@ from pyspark.sql import functions as F
 
 from repro import workloads
 from repro.core import metrics
-from repro.core.pipeline import c_extension
+from repro.core.constraints import CC, Cond
+from repro.core.pipeline import METHODS, c_extension
 
 
 def test_hybrid_good_ccs_zero_cc_error(spark, solved, ccs_good):
@@ -125,3 +126,27 @@ def test_hybrid_with_good_dcs_subset(spark, db, ccs_good, dcs_good):
         method="hybrid", seed=0,
     )
     assert metrics.dc_error(res.r1_hat, dcs_good) == 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_null_r1_attribute_is_rejected(spark, db, ccs_good, dcs_all, method):
+    """A null attribute value falls in no bin; the solve refuses the input
+    instead of crashing in phase II or assigning the tuple a random combo."""
+    first = int(db.persons["p_id"].iloc[0])
+    r1 = db.spark_r1(spark).withColumn(
+        "Rel", F.when(F.col("p_id") == first, None).otherwise(F.col("Rel"))
+    )
+    with pytest.raises(ValueError, match=r"\['Rel'\] hold nulls"):
+        c_extension(spark, r1, db.spark_r2(spark), ccs_good, dcs_all, method=method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_empty_r2_with_r2_conditions_is_rejected(spark, db, dcs_all, method):
+    """With R2 empty no B-combo exists, so CCs conditioned on R2 columns
+    cannot be assigned: a clear error, not a crash on an empty combo table."""
+    ccs = [CC(0, Cond.of(Rel="Owner"), Cond.of(Tenure="Owned"), 1)]
+    with pytest.raises(ValueError, match="R2 is empty"):
+        c_extension(
+            spark, db.spark_r1(spark), db.spark_r2(spark).limit(0), ccs, dcs_all,
+            method=method,
+        )
