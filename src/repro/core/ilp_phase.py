@@ -73,28 +73,25 @@ def _round_per_bin(
     return np.maximum(out, 0)
 
 
-def alg1_allocate(
-    ccs: list[CC],
-    cov: Coverage,
-    avail: dict[int, int],
-    *,
-    marginals: str = "all",
-    node_limit: int = 50,
-) -> Alg1Result:
-    """Build and solve the Algorithm-1 ILP; return the allocation.
+@dataclass
+class Alg1System:
+    """Algorithm 1's ILP ``min c·x  s.t.  A x = b, x >= 0`` over variables
+    ``(var_bins[i], var_combos[i])`` (combo ``-1`` is ⊥), followed by one
+    ``s+``/``s-`` slack pair per CC row. ``bin_totals`` holds the pinned
+    total of each marginal bin."""
 
-    ``cov`` covers (at least) ``ccs``; their mask rows give the CC rows and
-    the restricted variable set. ``avail`` gives each bin's remaining tuple
-    budget (already net of any Algorithm-2 draws in the hybrid). Mutated in
-    place for assigned counts.
-    """
-    import time
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    var_bins: np.ndarray
+    var_combos: np.ndarray
+    bin_totals: dict[int, int]
 
-    if marginals not in ("none", "all", "restricted"):
-        raise ValueError(marginals)
-    if not ccs:
-        return Alg1Result(allocations=[])
 
+def alg1_system(
+    ccs: list[CC], cov: Coverage, avail: dict[int, int], marginals: str
+) -> Alg1System:
+    """Build the Algorithm-1 ILP for ``ccs`` (see :func:`alg1_allocate`)."""
     cc_rows = cov.rows(cc.cc_id for cc in ccs)
     cc_bins, cc_combos = cov.bins[cc_rows], cov.combos[cc_rows]
     n_bins, n_combos = cov.count.shape
@@ -150,9 +147,37 @@ def alg1_allocate(
         A[r, n + 2 * k + 1] = -1.0  # s-
         b_vec[r] = cc.target
         r += 1
+    return Alg1System(A, b_vec, c_vec, var_bins, var_combos, bin_totals)
+
+
+def alg1_allocate(
+    ccs: list[CC],
+    cov: Coverage,
+    avail: dict[int, int],
+    *,
+    marginals: str = "all",
+    node_limit: int = 50,
+) -> Alg1Result:
+    """Build and solve the Algorithm-1 ILP; return the allocation.
+
+    ``cov`` covers (at least) ``ccs``; their mask rows give the CC rows and
+    the restricted variable set. ``avail`` gives each bin's remaining tuple
+    budget (already net of any Algorithm-2 draws in the hybrid). Mutated in
+    place for assigned counts.
+    """
+    import time
+
+    if marginals not in ("none", "all", "restricted"):
+        raise ValueError(marginals)
+    if not ccs:
+        return Alg1Result(allocations=[])
+
+    ilp = alg1_system(ccs, cov, avail, marginals)
+    var_bins, var_combos = ilp.var_bins, ilp.var_combos
+    n = len(var_bins)
 
     t0 = time.perf_counter()
-    res = solve_ilp(A, b_vec, c_vec, node_limit=node_limit)
+    res = solve_ilp(ilp.A, ilp.b, ilp.c, node_limit=node_limit)
     ilp_time = time.perf_counter() - t0
     if res.x is None:
         x = np.zeros(n, dtype=np.int64)
@@ -162,11 +187,11 @@ def alg1_allocate(
         if res.integral:
             x = np.round(xf).astype(np.int64)
         else:
-            x = _round_per_bin(xf, var_bins, bin_totals)
+            x = _round_per_bin(xf, var_bins, ilp.bin_totals)
         integral, nodes = res.integral, res.nodes
 
     allocations: list[Alloc] = []
-    for i in np.flatnonzero((x > 0) & real).tolist():
+    for i in np.flatnonzero((x > 0) & (var_combos >= 0)).tolist():
         allocations.append(
             Alloc(int(var_bins[i]), var_combos[i : i + 1], int(x[i]), cc_id=None)
         )
@@ -190,6 +215,6 @@ def alg1_allocate(
         integral=integral,
         nodes=nodes,
         n_vars=n,
-        n_rows=rows,
+        n_rows=len(ilp.b),
         slack=slack,
     )

@@ -119,8 +119,13 @@ def c_extension(
     t_fill = time.perf_counter() - t0
 
     if active:
+        # null-safe: a household with a null active value belongs to the
+        # null combo that Combos.build counted for it
         combo_map = spark.createDataFrame(combos.table[[*active, "combo_id"]])
-        r2_with_combo = r2_df.join(combo_map, on=active, how="inner")
+        same = [r2_df[c].eqNullSafe(combo_map[c]) for c in active]
+        r2_with_combo = r2_df.join(combo_map, same, "inner").select(
+            r2_df["*"], combo_map["combo_id"]
+        )
     else:
         r2_with_combo = r2_df.withColumn("combo_id", F.lit(0).cast("long"))
 

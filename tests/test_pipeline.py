@@ -150,3 +150,44 @@ def test_empty_r2_with_r2_conditions_is_rejected(spark, db, dcs_all, method):
             spark, db.spark_r1(spark), db.spark_r2(spark).limit(0), ccs, dcs_all,
             method=method,
         )
+
+
+@pytest.mark.parametrize("method", ["hybrid", "baseline"])
+def test_null_r2_values_keep_their_households(spark, db, dcs_all, method):
+    """R2 rows with a null in a CC's R2 column form null combos. Their
+    households are FK candidates like any other: each null combo that V_Join
+    gives tuples hands them to its own households, and a fresh household is
+    minted for a combo only once every existing household of it holds a
+    tuple."""
+    ccs = workloads.make_cc_good(db, n_cc=30, seed=1)
+    r2 = db.housing.copy()
+    nulled = r2["h_id"].iloc[:20]
+    r2.loc[r2["h_id"].isin(nulled), "Tenure"] = None
+    res = c_extension(
+        spark, db.spark_r1(spark), spark.createDataFrame(r2), ccs, dcs_all,
+        method=method, seed=0,
+    )
+    fk = res.r1_hat.select("h_id").toPandas()["h_id"]
+    r2_hat = res.r2_hat.toPandas()
+    assert set(r2["h_id"]) <= set(r2_hat["h_id"])
+    active = res.combos.active_cols
+    combo_of = r2_hat.fillna({"Tenure": "∅"}).merge(
+        res.combos.table.fillna({"Tenure": "∅"}), on=active
+    )
+    assert len(combo_of) == len(r2_hat)
+    combo_of["used"] = combo_of["h_id"].isin(fk)
+    combo_of["fresh"] = ~combo_of["h_id"].isin(r2["h_id"])
+    sizes = res.vjoin.groupBy("combo_id").count().toPandas()
+    null_ids = res.combos.table.loc[res.combos.table["Tenure"].isna(), "combo_id"]
+    given = set(sizes.loc[sizes["combo_id"].isin(null_ids), "combo_id"])
+    assert given
+    for cid, hh in combo_of.groupby("combo_id"):
+        old = hh[~hh["fresh"]]
+        if cid in given:
+            assert old["used"].any(), f"null combo {cid}: no household used"
+        if hh["fresh"].any():
+            assert old["used"].all(), f"combo {cid}: fresh household minted"
+    if method == "hybrid":
+        assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
+    res.vjoin.unpersist()
+    res.r1_hat.unpersist()

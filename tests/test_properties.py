@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the algorithmic substrates."""
 import numpy as np
 import pandas as pd
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import census, workloads
@@ -22,7 +22,9 @@ from repro.core.constraints import (
     pairwise_dc,
 )
 from repro.ilp import solve_ilp
+from repro.ilp.simplex import solve_lp
 from tests import coloring_oracle as oracle
+from tests import simplex_oracle
 from tests.conftest import build_phase1_inputs
 from tests.scorer_oracle import Scorer
 
@@ -243,6 +245,86 @@ def test_ilp_zero_slack_on_consistent_systems(seed):
     res = solve_ilp(A, b.astype(float), c, node_limit=150)
     assert res.integral
     assert abs(res.objective) < 1e-6
+
+
+# ------------------------------------- row-sparse simplex vs the dense oracle
+@st.composite
+def lp_systems(draw):
+    """Random ``(A, b, c)``: signed systems (negative ``b``), degenerate 0/1
+    Algorithm-1 systems with ``s+``/``s-`` slack columns, each optionally with
+    a duplicate or summed row, negated rows, columns scaled down to 1e-4,
+    and made infeasible (a contradicting row) or unbounded (a column pair
+    ``a``, ``-a`` whose sum lowers the cost)."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    if draw(st.booleans()):  # Algorithm-1 shape
+        A0 = (g.random((m, n)) < 0.4).astype(float)
+        b = A0 @ g.integers(0, 4, n) + g.integers(0, 2, m) * draw(st.integers(0, 2))
+        A = np.hstack([A0, np.eye(m), -np.eye(m)])
+        c = np.concatenate([np.zeros(n), np.ones(2 * m)])
+    else:
+        A = g.integers(-3, 4, (m, n)).astype(float)
+        b = A @ g.integers(0, 4, n)
+        c = g.integers(-2, 5, n).astype(float)
+    b = b.astype(float)
+    extra = draw(st.sampled_from(["none", "duplicate", "sum"]))
+    if extra != "none":
+        i, j = g.integers(0, m, 2)
+        row, rhs = (A[i], b[i]) if extra == "duplicate" else (A[i] + A[j], b[i] + b[j])
+        A, b = np.vstack([A, row]), np.append(b, rhs)
+    flip = g.random(len(b)) < draw(st.sampled_from([0.0, 0.5]))
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    if draw(st.booleans()):
+        A[:, g.random(A.shape[1]) < 0.3] *= 10.0 ** -g.integers(1, 5)
+    fault = draw(st.sampled_from(["none", "infeasible", "unbounded"]))
+    if fault == "infeasible":
+        A, b = np.vstack([A, A[0]]), np.append(b, b[0] + 1.0)
+    elif fault == "unbounded":
+        a = g.integers(-2, 3, (len(b), 1)).astype(float)
+        A, c = np.hstack([A, a, -a]), np.append(c, [-1.0, 0.0])
+    return A, b, c
+
+
+@given(lp_systems())
+@settings(max_examples=300, deadline=None)
+def test_simplex_equals_dense_oracle(lp):
+    """The row-sparse pivot takes the very same pivots as the dense one:
+    same status, the same ``x`` bit for bit and the same objective; the
+    inputs are left untouched."""
+    A, b, c = lp
+    A0, b0 = A.copy(), b.copy()
+    got, want = solve_lp(A, b, c), simplex_oracle.solve_lp(A, b, c)
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert np.array_equal(got.x, want.x)
+        assert got.objective == want.objective
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
+@settings(max_examples=80, deadline=None)
+def test_branch_and_bound_equals_dense_oracle(seed, offset):
+    """Systems whose LP root is fractional, so branch-and-bound adds bound
+    rows: the same nodes, incumbent and objective as branch-and-bound over
+    the dense oracle LP."""
+    g = np.random.default_rng(seed)
+    m, n = int(g.integers(1, 5)), int(g.integers(2, 7))
+    A = g.integers(1, 5, (m, n)).astype(float)
+    b = A @ g.integers(0, 4, n) + offset
+    c = g.integers(1, 6, n).astype(float)
+    root = simplex_oracle.solve_lp(A, b, c)
+    assume(root.x is not None and (np.abs(root.x - np.round(root.x)) > 1e-6).any())
+    got = solve_ilp(A, b, c, node_limit=40)
+    want = simplex_oracle.solve_ilp(A, b, c, node_limit=40)
+    assert (got.status, got.objective, got.integral, got.nodes) == (
+        want.status, want.objective, want.integral, want.nodes
+    )
+    assert got.nodes > 1
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert np.array_equal(got.x, want.x)
 
 
 # ---------------------------------------------------------- CC coverage
