@@ -4,9 +4,9 @@ Edges connect sets of R1 tuples that would violate a Foreign-Key DC's
 condition φ if they shared an FK value. Enumeration is per phase-II
 partition (tuples sharing a B-combo). Pairwise edges, the only kind the
 Table-4 DCs produce, go into a dense boolean adjacency matrix filled with
-NumPy broadcasting; k-ary edges (k ≥ 3, only from the NP-hardness gadget)
-are listed explicitly after a filtered nested loop — gadget instances are
-small by construction.
+NumPy broadcasting (``pairwise_mask``); k-ary edges (k ≥ 3, only from the
+NP-hardness gadget) are listed explicitly by ``violations``, the same
+evaluator ``metrics.dc_error`` runs over households.
 """
 from __future__ import annotations
 
@@ -70,30 +70,30 @@ def pairwise_mask(
     return i1, i2, ok
 
 
-def _nary_edges(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, ...]]:
-    """Generic k-ary enumeration (k ≥ 3), nested loops with pred filters."""
-    idx = [np.where(p.mask(pdf))[0] for p in dc.preds]
-    cols = {c: pdf[c].to_numpy() for c in pdf.columns}
-    out: set[tuple[int, ...]] = set()
+def violations(pdf: pd.DataFrame, dc: DC, group) -> tuple[np.ndarray, ...]:
+    """Every k-tuple of distinct rows of ``pdf`` that shares a non-null
+    ``group`` value and violates ``dc``, as k aligned row-index arrays.
 
-    def rec(pos: int, chosen: list[int]):
-        if pos == dc.arity:
-            vals = chosen
-            for comp in dc.comps:
-                vi = cols[comp.col_i][vals[comp.i]]
-                vj = cols[comp.col_j][vals[comp.j]]
-                if not bool(comp.apply(np.array(vi), np.array(vj))):
-                    return
-            out.add(tuple(sorted(set(vals))) if len(set(vals)) == dc.arity else None)
-            return
-        for i in idx[pos]:
-            if i in chosen:
-                continue
-            rec(pos + 1, chosen + [int(i)])
-
-    rec(0, [])
-    out.discard(None)
-    return out
+    Each tuple variable's rows are filtered by its predicate, the k row
+    sets are merged on ``group``, tuples repeating a row are dropped and the
+    comparisons are evaluated on the gathered columns.
+    """
+    codes, _ = pd.factorize(pd.Series(group))  # a null group gets -1
+    merged = None
+    for v, p in enumerate(dc.preds):
+        idx = np.flatnonzero(p.mask(pdf) & (codes >= 0))
+        side = pd.DataFrame({"g": codes[idx], v: idx})
+        merged = side if merged is None else merged.merge(side, on="g")
+    rows = [merged[v].to_numpy(np.int64) for v in range(dc.arity)]
+    ok = np.ones(len(merged), dtype=bool)
+    for a in range(dc.arity):
+        for b in range(a + 1, dc.arity):
+            ok &= rows[a] != rows[b]
+    for comp in dc.comps:
+        ci = pdf[comp.col_i].to_numpy()[rows[comp.i]]
+        cj = pdf[comp.col_j].to_numpy()[rows[comp.j]]
+        ok &= comp.apply(ci, cj)
+    return tuple(r[ok] for r in rows)
 
 
 def enumerate_edges(pdf: pd.DataFrame, dcs: list[DC]) -> ConflictGraph:
@@ -106,7 +106,8 @@ def enumerate_edges(pdf: pd.DataFrame, dcs: list[DC]) -> ConflictGraph:
             i1, i2, ok = pairwise_mask(pdf, dc)
             adj[np.ix_(i1, i2)] |= ok
         else:
-            hyper |= _nary_edges(pdf, dc)
+            tuples = np.sort(np.stack(violations(pdf, dc, np.zeros(n)), axis=1))
+            hyper.update(map(tuple, tuples.tolist()))
     adj |= adj.T
     np.fill_diagonal(adj, False)
     return ConflictGraph(adj, sorted(hyper))

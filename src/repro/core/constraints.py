@@ -325,6 +325,13 @@ class DC:
     def arity(self) -> int:
         return len(self.preds)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The columns the DC reads, in first-use order."""
+        cols = [c for p in self.preds for c in p.columns]
+        cols += [c for comp in self.comps for c in (comp.col_i, comp.col_j)]
+        return tuple(dict.fromkeys(cols))
+
     def __post_init__(self):
         if self.arity < 2:
             raise ValueError("a Foreign Key DC needs at least 2 tuple vars")
@@ -333,10 +340,16 @@ class DC:
                 raise ValueError(f"comp {c} indexes outside arity {self.arity}")
 
     def to_sql_violation(self, table: str, key: str, fk: str) -> str:
-        """SQL counting distinct tuples of ``table`` violating this DC.
+        """SQL counting distinct tuples of ``table`` violating this DC."""
+        return f"SELECT COUNT(*) AS n FROM ({self.to_sql_violators(table, key, fk)})"
 
-        Used by the DuckDB oracle to cross-check the Spark self-join
-        implementation in ``metrics.dc_error``.
+    def to_sql_violators(self, table: str, key: str, fk: str) -> str:
+        """SQL listing, as ``vid``, the distinct ``key`` of every tuple of
+        ``table`` violating this DC.
+
+        An independent rendering of the DC as a k-way SQL self-join on
+        ``fk``; the DuckDB oracle uses it to cross-check the NumPy
+        evaluator behind ``metrics.dc_error`` and the conflict edges.
         """
         aliases = [f"t{i}" for i in range(self.arity)]
         froms = ", ".join(f"{table} {a}" for a in aliases)
@@ -360,11 +373,10 @@ class DC:
                 wheres.append(
                     f"t{c.i}.{c.col_i} {_SQL_OP[c.op]} t{c.j}.{c.col_j}{off}"
                 )
-        ids = " UNION ".join(
+        return " UNION ".join(
             f"SELECT {a}.{key} AS vid FROM {froms} WHERE " + " AND ".join(wheres)
             for a in aliases
         )
-        return f"SELECT COUNT(*) AS n FROM ({ids})"
 
     def __str__(self) -> str:
         return f"DC[{self.name}] arity={self.arity}"

@@ -53,6 +53,17 @@ class Phase1Result:
     structure: HasseStructure | None = None
 
 
+def _split(total: int, weights: np.ndarray) -> np.ndarray:
+    """Largest-remainder split of ``total`` proportionally to ``weights``;
+    evenly when every weight is 0 (e.g. no combo holds a household)."""
+    w = weights.astype(float)
+    w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1 / len(w))
+    counts = np.floor(w * total).astype(int)
+    order = np.argsort(-(w * total - counts))
+    counts[order[: total - counts.sum()]] += 1
+    return counts
+
+
 def resolve_partials(
     allocations: list[Alloc],
     cov: Coverage,
@@ -85,12 +96,7 @@ def resolve_partials(
         # keeping phase-II partitions balanced (fewer fresh households, no
         # giant owner cliques)
         chosen = elig[scores == scores.min()]
-        w = np.maximum(nh[chosen], 1).astype(float)
-        w /= w.sum()
-        counts = np.floor(w * a.count).astype(int)
-        rem = a.count - counts.sum()
-        order = np.argsort(-(w * a.count - counts))
-        counts[order[:rem]] += 1
+        counts = _split(a.count, np.maximum(nh[chosen], 1))
         for c, cnt in zip(chosen.tolist(), counts.tolist()):
             if cnt > 0:
                 out.append((a.bin_id, c, cnt))
@@ -121,13 +127,7 @@ def fill_leftovers(
         # counts: keeps phase-II partitions balanced and minimises the fresh
         # households the coloring has to mint for over-full partitions
         unused = rng.permutation(unused)
-        w = nh[unused].astype(float)
-        # no harmless combo holds a household (e.g. R2 is empty): split evenly
-        w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1 / len(w))
-        counts = np.floor(w * n).astype(int)
-        rem = n - counts.sum()
-        order = np.argsort(-(w * n - counts))
-        counts[order[:rem]] += 1
+        counts = _split(n, nh[unused])
         for c, cnt in zip(unused.tolist(), counts.tolist()):
             if cnt > 0:
                 rows.append((b, c, cnt))

@@ -1,10 +1,13 @@
-"""Error measures of §6.1, computed with Spark DataFrame queries.
+"""Error measures of §6.1.
 
 * relative CC error: ``|ĉ − c| / max(10, c)`` per CC, over the *final*
-  database ``R̂1 ⋈ R̂2`` (so phase-II effects are included);
+  database ``R̂1 ⋈ R̂2`` (so phase-II effects are included), from one Spark
+  join + groupBy;
 * DC error: fraction of R̂1 tuples participating in at least one violated
-  DC instance — detected with self-joins on the FK column (cross-checked
-  against a DuckDB SQL oracle in tests).
+  DC instance among tuples sharing an FK. R̂1 is projected onto the FK and
+  the DC columns in one Spark action, and ``conflict.violations`` evaluates
+  every DC on the driver (cross-checked against each DC's own SQL on DuckDB
+  in tests).
 """
 from __future__ import annotations
 
@@ -13,16 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .constraints import CC, DC, Comp, OutsideComp
-
-_OPS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+from .conflict import violations
+from .constraints import CC, DC
 
 
 def cc_report(r1_hat: DataFrame, r2_hat: DataFrame, ccs: list[CC], *, fk: str = "h_id") -> pd.DataFrame:
@@ -55,54 +50,22 @@ def cc_error_summary(report: pd.DataFrame) -> dict:
     }
 
 
-def _comp_col(comp) -> F.Column:
-    left = F.col(f"t{comp.i}.{comp.col_i}")
-    right = F.col(f"t{comp.j}.{comp.col_j}")
-    if isinstance(comp, OutsideComp):
-        return (left < right + F.lit(comp.lo)) | (left > right + F.lit(comp.hi))
-    rhs = right + F.lit(comp.offset) if comp.offset else right
-    return _OPS[comp.op](left, rhs)
-
-
-def dc_violators(r1_hat: DataFrame, dc: DC, *, key: str = "p_id", fk: str = "h_id") -> DataFrame:
-    """Distinct keys of tuples violating ``dc`` (Spark self-join)."""
-    k = dc.arity
-    aliased = [r1_hat.alias(f"t{i}") for i in range(k)]
-    joined = aliased[0]
-    for i in range(1, k):
-        joined = joined.join(
-            aliased[i], on=F.col(f"t0.{fk}") == F.col(f"t{i}.{fk}"), how="inner"
-        )
-    cond = F.lit(True)
-    for i in range(k):
-        for j in range(i + 1, k):
-            cond = cond & (F.col(f"t{i}.{key}") != F.col(f"t{j}.{key}"))
-    for i, p in enumerate(dc.preds):
-        if not p.is_empty():
-            expr = F.lit(True)
-            for col, spec in p.specs:
-                ref = F.col(f"t{i}.{col}")
-                if spec[0] == "range":
-                    expr = expr & (ref >= spec[1]) & (ref <= spec[2])
-                else:
-                    expr = expr & ref.isin(list(spec[1]))
-            cond = cond & expr
-    for comp in dc.comps:
-        cond = cond & _comp_col(comp)
-    matched = joined.filter(cond)
-    out = matched.select(F.col(f"t0.{key}").alias("vid"))
-    for i in range(1, k):
-        out = out.unionByName(matched.select(F.col(f"t{i}.{key}").alias("vid")))
-    return out.distinct()
-
-
-def dc_error(r1_hat: DataFrame, dcs: list[DC], *, key: str = "p_id", fk: str = "h_id") -> float:
-    """Fraction of R̂1 tuples violating at least one DC (§6.1)."""
-    n = r1_hat.count()
-    if n == 0 or not dcs:
-        return 0.0
-    viol = None
+def dc_violating(pdf: pd.DataFrame, dcs: list[DC], fk: str) -> np.ndarray:
+    """Mask of the rows of ``pdf`` in at least one violation of a DC in
+    ``dcs``. A row with a null ``fk`` shares a household with no one."""
+    mask = np.zeros(len(pdf), dtype=bool)
     for dc in dcs:
-        v = dc_violators(r1_hat, dc, key=key, fk=fk)
-        viol = v if viol is None else viol.unionByName(v)
-    return viol.distinct().count() / n
+        for rows in violations(pdf, dc, pdf[fk]):
+            mask[rows] = True
+    return mask
+
+
+def dc_error(r1_hat: DataFrame, dcs: list[DC], *, fk: str = "h_id") -> float:
+    """Fraction of R̂1 tuples violating at least one DC (§6.1)."""
+    if not dcs:
+        return 0.0
+    cols = dict.fromkeys([fk, *(c for dc in dcs for c in dc.columns)])
+    pdf = r1_hat.select(*cols).toPandas()
+    if pdf.empty:
+        return 0.0
+    return int(dc_violating(pdf, dcs, fk).sum()) / len(pdf)

@@ -41,3 +41,18 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def dc_violators(pdf: pd.DataFrame, dcs, *, key: str = "p_id", fk: str = "h_id") -> list:
+    """Sorted ``key`` values of the rows of ``pdf`` violating at least one
+    DC: the DuckDB union of every ``DC.to_sql_violators``, the twin of
+    ``metrics.dc_violating``."""
+    if not dcs:
+        return []
+    con = duckdb.connect()
+    try:
+        con.register("t", pdf)
+        sql = " UNION ".join(dc.to_sql_violators("t", key, fk) for dc in dcs)
+        return sorted(vid for (vid,) in con.execute(sql).fetchall())
+    finally:
+        con.close()

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from repro.core.conflict import _nary_edges, pairwise_mask
+from repro.core.conflict import pairwise_mask, violations
 
 
 def edge_set(graph) -> set[tuple[int, ...]]:
@@ -44,7 +44,8 @@ def edge_list(pdf, dcs) -> list[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
     for dc in dcs:
         if dc.arity != 2:
-            out |= _nary_edges(pdf, dc)
+            rows = np.stack(violations(pdf, dc, np.zeros(len(pdf))), axis=1)
+            out |= set(map(tuple, np.sort(rows).tolist()))
             continue
         i1, i2, ok = pairwise_mask(pdf, dc)
         xs, ys = np.nonzero(ok)

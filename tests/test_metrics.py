@@ -1,12 +1,11 @@
 """Tests for the error measures, cross-checked against the DuckDB oracle."""
+import duckdb
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro import workloads
 from repro.core import metrics
-from repro.core.constraints import CC, Cond, pairwise_dc
-from repro.oracle import assert_equivalent
+from repro.core.constraints import Cond, pairwise_dc
+from repro.oracle import dc_violators
 
 
 def test_cc_report_counts_match_duckdb(spark, db, solved, ccs_good):
@@ -14,8 +13,6 @@ def test_cc_report_counts_match_duckdb(spark, db, solved, ccs_good):
     rep = metrics.cc_report(solved.r1_hat, solved.r2_hat, ccs_good)
     r1 = solved.r1_hat.toPandas()
     r2 = solved.r2_hat.toPandas()
-    import duckdb
-
     con = duckdb.connect()
     con.register("r1", r1)
     con.register("r2", r2)
@@ -50,8 +47,8 @@ def test_cc_error_summary_fields(spark, solved, ccs_good):
     assert set(s) == {"median", "mean", "max", "n_nonzero"}
 
 
-def test_dc_violators_matches_duckdb_oracle(spark):
-    """Spark self-join violator count == the DC's own SQL on DuckDB."""
+def test_dc_violators_matches_duckdb_oracle():
+    """NumPy violators == the DC's own SQL on DuckDB."""
     pdf = pd.DataFrame(
         {
             "p_id": [1, 2, 3, 4],
@@ -61,16 +58,11 @@ def test_dc_violators_matches_duckdb_oracle(spark):
             "h_id": [1, 1, 2, 2],
         }
     )
-    df = spark.createDataFrame(pdf)
     dc = pairwise_dc("dc_oo", Cond.of(Rel="Owner"), Cond.of(Rel="Owner"))
-    got = metrics.dc_violators(df, dc).groupBy().agg(F.count("*").alias("n"))
-    assert_equivalent(
-        got,
-        dc.to_sql_violation("t", key="p_id", fk="h_id").replace(
-            "SELECT COUNT(*) AS n", "SELECT COUNT(*) AS n"
-        ),
-        t=pdf,
-    )
+    got = pdf["p_id"][metrics.dc_violating(pdf, [dc], "h_id")].tolist()
+    assert got == dc_violators(pdf, [dc]) == [1, 2]
+    sql = dc.to_sql_violation("pdf", key="p_id", fk="h_id")
+    assert duckdb.sql(sql).fetchone()[0] == len(got)
 
 
 def test_dc_error_counts_fraction(spark):
@@ -104,6 +96,16 @@ def test_dc_error_outside_comp(spark):
     assert metrics.dc_error(df, dcs) == pytest.approx(2 / 9)
 
 
+def test_dc_error_null_fk_shares_no_household(spark):
+    """Two owners with a null FK are not in one household (SQL ``=``)."""
+    pdf = pd.DataFrame(
+        {"p_id": [1, 2, 3], "Rel": ["Owner"] * 3, "h_id": [None, None, 1]}
+    )
+    df = spark.createDataFrame(pdf, "p_id long, Rel string, h_id long")
+    dcs = [pairwise_dc("dc_oo", Cond.of(Rel="Owner"), Cond.of(Rel="Owner"))]
+    assert metrics.dc_error(df, dcs) == 0.0
+
+
 def test_dc_error_empty_inputs(spark):
     pdf = pd.DataFrame(
         {"p_id": [1], "Rel": ["Owner"], "Age": [10], "Multi_ling": [0], "h_id": [1]}
@@ -112,7 +114,7 @@ def test_dc_error_empty_inputs(spark):
     assert metrics.dc_error(df, []) == 0.0
 
 
-def test_three_ary_dc_violators(spark):
+def test_three_ary_dc_violators():
     from repro.core.constraints import Comp, DC
 
     pdf = pd.DataFrame(
@@ -124,11 +126,10 @@ def test_three_ary_dc_violators(spark):
             "Chosen": [1, 1, 1, 0],
         }
     )
-    df = spark.createDataFrame(pdf)
     dc = DC(
         "nae",
         (Cond.of(), Cond.of(), Cond.of()),
         (Comp(0, "Cls", "=", 1, "Cls"), Comp(1, "Cls", "=", 2, "Cls")),
     )
-    v = metrics.dc_violators(df, dc, key="p_id", fk="Chosen")
-    assert sorted(r["vid"] for r in v.collect()) == [1, 2, 3]
+    v = pdf["p_id"][metrics.dc_violating(pdf, [dc], "Chosen")].tolist()
+    assert v == dc_violators(pdf, [dc], fk="Chosen") == [1, 2, 3]

@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import workloads
+from repro import census, workloads
 from repro.core import metrics
 from repro.core.constraints import CC, Cond
 from repro.core.pipeline import METHODS, c_extension
@@ -191,3 +191,48 @@ def test_null_r2_values_keep_their_households(spark, db, dcs_all, method):
         assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
     res.vjoin.unpersist()
     res.r1_hat.unpersist()
+
+
+def test_unmet_cc_target_finishes_with_shortfall(spark, db, dcs_all):
+    """A CC asking for more tuples than its bin holds cannot be met. The
+    solve still finishes: Algorithm 2 reports the missing tuples, the DCs
+    hold and every tuple's FK is a household of R̂2."""
+    spouses = int((db.persons["Rel"] == census.SPOUSE).sum())
+    ccs = [
+        CC(0, Cond.of(Rel=census.SPOUSE), Cond.of(Tenure="Owned"), spouses + 10),
+        CC(1, Cond.of(Rel=census.OWNER), Cond.of(Tenure="Rented"), 20),
+    ]
+    res = c_extension(
+        spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs_all,
+        method="hybrid", seed=0,
+    )
+    assert res.phase1.shortfall == {0: 10}
+    assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
+    rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs).set_index("cc_id")
+    assert rep.loc[0, "achieved"] == spouses and rep.loc[1, "rel_err"] == 0.0
+    fk = res.r1_hat.select("h_id").toPandas()["h_id"]
+    assert fk.notna().all()
+    assert set(fk) <= set(res.r2_hat.select("h_id").toPandas()["h_id"])
+    res.vjoin.unpersist()
+    res.r1_hat.unpersist()
+
+
+def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
+    """Dropping the cached V_Join and R̂1 makes Spark run the fill and
+    phase II again on the next read: the FKs stay identical."""
+    res = c_extension(
+        spark, db.spark_r1(spark), db.spark_r2(spark), ccs_good, dcs_all,
+        method="hybrid", seed=0,
+    )
+
+    def pairs():
+        return sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
+
+    first = pairs()
+    res.vjoin.unpersist(blocking=True)
+    res.r1_hat.unpersist(blocking=True)
+    assert not res.r1_hat.is_cached
+    again = pairs()
+    assert again == first
+    keys = set(res.r2_hat.select("h_id").toPandas()["h_id"])
+    assert all(h in keys for _, h in again)

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import census, workloads
+from repro.core import metrics
 from repro.core.binning import Coverage
 from repro.core.coloring import color_with_extension, coloring_lf
 from repro.core.conflict import ConflictGraph, enumerate_edges
@@ -23,6 +24,7 @@ from repro.core.constraints import (
 )
 from repro.ilp import solve_ilp
 from repro.ilp.simplex import solve_lp
+from repro.oracle import dc_violators
 from tests import coloring_oracle as oracle
 from tests import simplex_oracle
 from tests.conftest import build_phase1_inputs
@@ -230,6 +232,25 @@ def test_dense_coloring_lf_equals_oracle_with_precolored(instance, colors, pre):
     assert coloring_lf(graph, dict(pre), colors) == oracle.coloring_lf(
         len(pdf), edges, dict(pre), colors
     )
+
+
+# ------------------------------------------------- DC error vs DuckDB SQL
+@st.composite
+def households(draw):
+    """``frames(14)`` with a nullable FK: households 0..3 or null."""
+    pdf = draw(frames(14))
+    fk = st.one_of(st.none(), st.integers(0, 3))
+    fks = draw(st.lists(fk, min_size=len(pdf), max_size=len(pdf)))
+    return pdf.assign(h_id=pd.array(fks, dtype="Int64"))
+
+
+@given(households(), st.lists(st.one_of(dcs(2), dcs(3)), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_dc_violating_equals_duckdb_union(pdf, dc_list):
+    """The tuples in some violation among same-FK tuples are exactly the
+    DuckDB union of every DC's own SQL self-join; a null FK matches none."""
+    mask = metrics.dc_violating(pdf, dc_list, "h_id")
+    assert pdf["p_id"][mask].tolist() == dc_violators(pdf, dc_list)
 
 
 # ---------------------------------------------------------------------- ILP

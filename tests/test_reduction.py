@@ -69,7 +69,7 @@ def test_pipeline_solves_gadget_dcs(spark, clauses):
         spark, r1, r2, [], inst.dcs, method="hybrid", seed=0,
         r2_key="Chosen", fk="Chosen",
     )
-    assert metrics.dc_error(res.r1_hat, inst.dcs, key="p_id", fk="Chosen") == 0.0
+    assert metrics.dc_error(res.r1_hat, inst.dcs, fk="Chosen") == 0.0
 
 
 @pytest.mark.parametrize("clauses", SAT_FORMULAS)

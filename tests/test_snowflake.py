@@ -72,7 +72,7 @@ def test_star_step1_dc_satisfied(spark, star):
         [FkLink("majors", spark.createDataFrame(majors), "m_id", "m_id", [], dcs1)],
     )
     step = res.steps[0]
-    assert metrics.dc_error(step.r1_hat, dcs1, key="p_id", fk="m_id") == 0.0
+    assert metrics.dc_error(step.r1_hat, dcs1, fk="m_id") == 0.0
 
 
 def test_snowflake_widen_prefixes_collisions(spark, star):
