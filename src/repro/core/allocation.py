@@ -12,9 +12,9 @@ assignment to concrete tuples is a single distributed pass:
 
 Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
 draws are capped at a bin's availability and the leftovers are filled), and
-``c_extension`` rejects null attributes, so no tuple falls outside the
-ranges; the two null-combo fills below are kept for the benchmark's tracer,
-which wraps them by name.
+``c_extension`` rejects nulls in the bin columns, so no tuple falls outside
+the ranges; the two null-combo fills below are kept for the benchmark's
+tracer, which wraps them by name.
 """
 from __future__ import annotations
 
@@ -39,8 +39,6 @@ def materialize_vjoin(
     r1_df: DataFrame,
     binning: Binning,
     alloc: pd.DataFrame,
-    *,
-    key: str = "p_id",
 ) -> DataFrame:
     """R1 ⟶ V_Join skeleton: every tuple tagged with bin_id and combo_id.
 
@@ -52,7 +50,7 @@ def materialize_vjoin(
         tagged = r1_df.join(map_df, on=binning.attrs, how="left")
     else:  # no binnable attributes: a single bin holds everything
         tagged = r1_df.withColumn("bin_id", F.lit(0).cast("long"))
-    w = Window.partitionBy("bin_id").orderBy(key)
+    w = Window.partitionBy("bin_id").orderBy("p_id")
     tagged = tagged.withColumn("__idx", F.row_number().over(w) - F.lit(1))
     ranges = alloc_ranges(alloc)
     if len(ranges) == 0:

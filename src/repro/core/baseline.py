@@ -43,7 +43,7 @@ def baseline_phase1(
         marginals="all" if with_marginals else "none",
         node_limit=NODE_LIMIT,
     )
-    rows = [(a.bin_id, int(a.combo_ids[0]), a.count) for a in alg1.allocations]
+    rows = list(alg1.rows)
     # random completion of unassigned tuples (baseline's leftover strategy)
     combo_ids = combos.table["combo_id"].to_numpy()
     weights = combos.table["n_households"].to_numpy().astype(float)

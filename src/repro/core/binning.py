@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .constraints import CAT, CC, Cond, RANGE
+from .constraints import CC, Cond, RANGE
 
 
 def numeric_columns(ccs: list[CC], attrs: list[str]) -> list[str]:
@@ -113,14 +113,7 @@ class Binning:
         either fully inside or fully outside each CC range, so testing the
         representative (the interval's lower edge) is exact.
         """
-        m = np.ones(len(self.bins), dtype=bool)
-        for col, spec in cond.specs:
-            rep = self.bins[col].to_numpy()
-            if spec[0] == RANGE:
-                m &= (rep >= spec[1]) & (rep <= spec[2])
-            else:
-                m &= pd.Series(rep).isin(spec[1]).to_numpy()
-        return self.bins["bin_id"].to_numpy()[m]
+        return self.bins["bin_id"].to_numpy()[cond.mask(self.bins)]
 
 
 @dataclass
@@ -201,6 +194,13 @@ class Coverage:
         r = self.rows(allowed)
         own = self.bins[r, bin_id][:, None] & self.combos[r]
         return self.count[bin_id] - own.sum(axis=0)
+
+
+def bin_columns(ccs: list[CC], columns: list[str]) -> list[str]:
+    """The bin keys: the columns of ``columns`` that some CC's R1 condition
+    reads, in ``columns``' order."""
+    read = {col for cc in ccs for col in cc.r1.columns}
+    return [c for c in columns if c in read]
 
 
 def active_r2_columns(ccs: list[CC]) -> list[str]:

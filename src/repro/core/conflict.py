@@ -51,6 +51,18 @@ class ConflictGraph:
         return ConflictGraph(adj, sorted(hyper))
 
 
+def _comps_hold(pdf: pd.DataFrame, dc: DC, rows) -> np.ndarray:
+    """AND of ``dc``'s comparisons with tuple variable ``v`` at the rows
+    ``rows[v]`` of ``pdf``; the index arrays broadcast against each other,
+    and so does the result."""
+    ok = np.ones(np.broadcast_shapes(*(np.shape(r) for r in rows)), dtype=bool)
+    for comp in dc.comps:
+        ci = pdf[comp.col_i].to_numpy()[rows[comp.i]]
+        cj = pdf[comp.col_j].to_numpy()[rows[comp.j]]
+        ok &= comp.apply(ci, cj)
+    return ok
+
+
 def pairwise_mask(
     pdf: pd.DataFrame, dc: DC
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,16 +70,8 @@ def pairwise_mask(
     pairs satisfying its comparisons (a row paired with itself included)."""
     i1 = np.flatnonzero(dc.preds[0].mask(pdf))
     i2 = np.flatnonzero(dc.preds[1].mask(pdf))
-    ok = np.ones((i1.size, i2.size), dtype=bool)
-    # comp.i / comp.j index the DC's tuple variables: variable 0 ranges over
-    # i1 (rows matching pred 0, the first broadcast axis), variable 1 over i2.
-    for comp in dc.comps:
-        ci = pdf[comp.col_i].to_numpy()
-        cj = pdf[comp.col_j].to_numpy()
-        left = ci[i1][:, None] if comp.i == 0 else ci[i2][None, :]
-        right = cj[i1][:, None] if comp.j == 0 else cj[i2][None, :]
-        ok &= comp.apply(left, right)
-    return i1, i2, ok
+    # tuple variable 0 ranges over i1 (the first broadcast axis), 1 over i2
+    return i1, i2, _comps_hold(pdf, dc, (i1[:, None], i2[None, :]))
 
 
 def violations(pdf: pd.DataFrame, dc: DC, group) -> tuple[np.ndarray, ...]:
@@ -85,14 +89,10 @@ def violations(pdf: pd.DataFrame, dc: DC, group) -> tuple[np.ndarray, ...]:
         side = pd.DataFrame({"g": codes[idx], v: idx})
         merged = side if merged is None else merged.merge(side, on="g")
     rows = [merged[v].to_numpy(np.int64) for v in range(dc.arity)]
-    ok = np.ones(len(merged), dtype=bool)
+    ok = _comps_hold(pdf, dc, rows)
     for a in range(dc.arity):
         for b in range(a + 1, dc.arity):
             ok &= rows[a] != rows[b]
-    for comp in dc.comps:
-        ci = pdf[comp.col_i].to_numpy()[rows[comp.i]]
-        cj = pdf[comp.col_j].to_numpy()[rows[comp.j]]
-        ok &= comp.apply(ci, cj)
     return tuple(r[ok] for r in rows)
 
 

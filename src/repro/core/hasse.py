@@ -8,9 +8,10 @@ element draws its remaining ``k_m − Σ k_c`` tuples from bins satisfying
 
 The recursion here operates on the *bin histogram* (see ``binning``): tuples
 within a bin are interchangeable w.r.t. every CC, so drawing ``n`` tuples
-from bin ``b`` is simply decrementing the bin's availability. The resulting
-allocation rows are materialised into ``V_Join`` by ``allocation.py`` in a
-single Spark pass.
+from bin ``b`` is simply decrementing the bin's availability. Each draw is an
+:class:`Alloc`; ``hybrid.resolve_partials`` turns the draws into the
+``(bin, combo, count)`` rows that ``allocation.py`` materialises into
+``V_Join`` in a single Spark pass.
 """
 from __future__ import annotations
 
@@ -32,19 +33,16 @@ from .constraints import (
 
 @dataclass
 class Alloc:
-    """``count`` tuples of bin ``bin_id``, each to take one of ``combo_ids``.
+    """An Algorithm-2 draw: ``count`` tuples of bin ``bin_id`` for CC ``cc_id``.
 
-    ``combo_ids`` are the combos the draw may take: for an Algorithm-2 draw
-    every combo its CC covers, for an Algorithm-1 variable its one combo.
-    ``hybrid.resolve_partials`` picks among them; with none the tuples are
-    invalid. ``cc_id`` records which CC the draw serves (None for
-    Algorithm 1).
+    Each tuple may take any combo the CC's R2 condition covers (its
+    ``Coverage.combos`` row); ``hybrid.resolve_partials`` picks among them,
+    and with none the tuples are invalid.
     """
 
     bin_id: int
-    combo_ids: np.ndarray
     count: int
-    cc_id: int | None
+    cc_id: int
 
 
 @dataclass
@@ -206,7 +204,6 @@ def alg2_allocate(
         free = (cov.combos[i] & ~blocked).any(axis=1)
         tier1 = np.flatnonzero(cov.bins[i] & ~under_kid)
         tier2 = np.flatnonzero(cov.bins[i] & under_kid & free)
-        combo_ids = np.flatnonzero(cov.combos[i])
         need = extra
         for b in [*tier1.tolist(), *tier2.tolist()]:
             if need == 0:
@@ -216,7 +213,7 @@ def alg2_allocate(
             take = min(avail[b], need)
             avail[b] -= take
             need -= take
-            res.allocations.append(Alloc(b, combo_ids, take, cc_id))
+            res.allocations.append(Alloc(b, take, cc_id))
         if need > 0:
             res.shortfall[cc_id] = need
 

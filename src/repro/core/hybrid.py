@@ -6,11 +6,12 @@
 3. S2 is solved by Algorithm 1 with the *modified marginals* (rows only for
    bins relevant to S2, with availability net of the S1 draws) and the
    restricted variable space.
-4. Each draw names the combos it may take (all combos its CC covers, or
-   an ILP variable's one combo); ``resolve_partials`` picks those adding
-   the fewest spurious CC contributions. Leftover tuples get
-   ``combo_unused`` values; bins with no harmless combo produce *invalid*
-   tuples (combo_id = -1), resolved in phase II.
+4. An Algorithm-2 draw may take any combo its CC covers;
+   ``resolve_partials`` picks those adding the fewest spurious CC
+   contributions. The ILP's rows already name one combo each and join the
+   table as they are. Leftover tuples get ``combo_unused`` values; bins
+   with no harmless combo produce *invalid* tuples (combo_id = -1),
+   resolved in phase II.
 
 Every step reads one :class:`~.binning.Coverage`, built once per run: the
 CC × bin and CC × combo masks and their bins × combos product, which counts
@@ -42,7 +43,12 @@ NODE_LIMIT = 50
 
 @dataclass
 class Phase1Result:
-    """Allocation table + diagnostics for one phase-I run."""
+    """Allocation table + diagnostics for one phase-I run.
+
+    ``alloc`` is the one record phase II reads. Its rows place every tuple
+    of every bin, so its per-combo ``count`` sums are V_Join's partition
+    sizes.
+    """
 
     alloc: pd.DataFrame  # bin_id, combo_id (INVALID_COMBO = invalid), count
     timings: dict = field(default_factory=dict)
@@ -68,9 +74,10 @@ def resolve_partials(
     allocations: list[Alloc],
     cov: Coverage,
     combos: Combos,
-    structure: HasseStructure | None,
+    structure: HasseStructure,
 ) -> list[tuple[int, int, int]]:
-    """Give each allocation's tuples concrete combos from its ``combo_ids``.
+    """Give each Algorithm-2 draw's tuples concrete combos among those its
+    CC covers.
 
     Returns (bin_id, combo_id, count) rows. A draw made for CC ``c`` may
     freely contribute to ``c`` and its ancestors (that is the point of the
@@ -79,15 +86,11 @@ def resolve_partials(
     nh = combos.table["n_households"].to_numpy()
     out: list[tuple[int, int, int]] = []
     for a in allocations:
-        elig = a.combo_ids
+        elig = np.flatnonzero(cov.combos[cov.row[a.cc_id]])
         if len(elig) == 0:
             out.append((a.bin_id, INVALID_COMBO, a.count))
             continue
-        allowed: set[int] = set()
-        if a.cc_id is not None:
-            allowed = {a.cc_id}
-            if structure is not None:
-                allowed |= structure.ancestors(a.cc_id)
+        allowed = {a.cc_id} | structure.ancestors(a.cc_id)
         scores = cov.score(a.bin_id, allowed)[elig]
         # split the draw across *all* minimum-score combos proportionally to
         # their household counts: every min-score combo contributes equally
@@ -175,7 +178,7 @@ def hybrid_phase1(
     )
 
     rows = resolve_partials(alg2.allocations, cov, combos, structure)
-    rows += resolve_partials(alg1.allocations, cov, combos, None)
+    rows += alg1.rows
     left, _ = fill_leftovers(avail, cov, combos, rng)
     rows += left
     n_invalid = sum(c for _, cid, c in rows if cid == INVALID_COMBO)

@@ -1,5 +1,5 @@
 """Algorithm 1 (§4.1): model CCs as an integer program over (bin, combo)
-variables and derive a V_Join allocation from its solution.
+variables and read the V_Join allocation off its solution.
 
 Variable ``x[(bin, combo)]`` counts tuples of R1-bin ``bin`` assigned the
 B-values of ``combo``. Rows are (optionally) the all-way marginals — one per
@@ -17,23 +17,24 @@ falls back to per-bin largest-remainder rounding when the node limit is hit.
     variable per marginal bin — the hybrid's smaller ILP.
 
 The other two use the full bins × combos cross product, which reproduces
-the baselines' large-ILP behaviour.
+the baselines' large-ILP behaviour. Each positive non-⊥ variable is one
+``(bin, combo, count)`` row of phase I's allocation table (Algorithm 1
+lines 15–17), so :func:`alg1_allocate` returns those rows as they are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..ilp import solve_ilp
 from .binning import Coverage
 from .constraints import CC
-from .hasse import Alloc
 
 
 @dataclass
 class Alg1Result:
-    allocations: list[Alloc]
+    rows: list[tuple[int, int, int]]  # (bin_id, combo_id, count)
     ilp_time: float = 0.0
     integral: bool = True
     nodes: int = 0
@@ -158,19 +159,21 @@ def alg1_allocate(
     marginals: str = "all",
     node_limit: int = 50,
 ) -> Alg1Result:
-    """Build and solve the Algorithm-1 ILP; return the allocation.
+    """Build and solve the Algorithm-1 ILP; return its allocation rows.
 
     ``cov`` covers (at least) ``ccs``; their mask rows give the CC rows and
     the restricted variable set. ``avail`` gives each bin's remaining tuple
-    budget (already net of any Algorithm-2 draws in the hybrid). Mutated in
-    place for assigned counts.
+    budget (already net of any Algorithm-2 draws in the hybrid). Each
+    positive non-⊥ variable becomes a ``(bin_id, combo_id, count)`` row,
+    capped at what its bin has left in variable order (the greedy "at most
+    c_i"); ``avail`` is decremented in place by the rows' counts.
     """
     import time
 
     if marginals not in ("none", "all", "restricted"):
         raise ValueError(marginals)
     if not ccs:
-        return Alg1Result(allocations=[])
+        return Alg1Result(rows=[])
 
     ilp = alg1_system(ccs, cov, avail, marginals)
     var_bins, var_combos = ilp.var_bins, ilp.var_combos
@@ -190,27 +193,17 @@ def alg1_allocate(
             x = _round_per_bin(xf, var_bins, ilp.bin_totals)
         integral, nodes = res.integral, res.nodes
 
-    allocations: list[Alloc] = []
+    rows: list[tuple[int, int, int]] = []
     for i in np.flatnonzero((x > 0) & (var_combos >= 0)).tolist():
-        allocations.append(
-            Alloc(int(var_bins[i]), var_combos[i : i + 1], int(x[i]), cc_id=None)
-        )
-    # net the draws out of avail (greedy "at most c_i": cap at availability)
-    per_bin: dict[int, int] = {}
-    capped: list[Alloc] = []
-    for a in allocations:
-        used = per_bin.get(a.bin_id, 0)
-        room = max(0, avail.get(a.bin_id, 0) - used)
-        take = min(a.count, room)
+        b = int(var_bins[i])
+        take = min(int(x[i]), avail.get(b, 0))
         if take > 0:
-            per_bin[a.bin_id] = used + take
-            capped.append(Alloc(a.bin_id, a.combo_ids, take, a.cc_id))
-    for bbin, used in per_bin.items():
-        avail[bbin] -= used
+            avail[b] -= take
+            rows.append((b, int(var_combos[i]), take))
 
     slack = float(np.abs(res.x[n:]).sum()) if res.x is not None else float("nan")
     return Alg1Result(
-        allocations=capped,
+        rows=rows,
         ilp_time=ilp_time,
         integral=integral,
         nodes=nodes,

@@ -11,8 +11,9 @@ sorted by ``p_id`` first, so the coloring does not depend on the order in
 which Spark delivers them.
 
 Skipped vertices take fresh colors = fresh R2 keys; per-partition key ranges
-are pre-reserved on the driver (a partition can never need more new keys
-than it has tuples), so fresh keys are globally unique without coordination.
+are pre-reserved on the driver from each partition's size in phase I's
+allocation table (a partition can never need more new keys than it has
+tuples), so fresh keys are globally unique without coordination.
 
 Invalid tuples (no B-assignment possible in phase I) are resolved last on
 the driver: each gets a fresh household whose B-values minimise added CC
@@ -151,8 +152,11 @@ def complete_fk(
     ``r1_df`` is R1 keyed by ``p_id``; ``r1_hat`` is R1 plus the ``fk``
     column, keyed by ``r1_key``. ``vjoin_df`` must carry ``p_id``, the R1
     attributes, ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for
-    invalid tuples); ``sizes`` is its row count per ``combo_id`` and
-    ``max_key`` the largest key in ``r2_df``.
+    invalid tuples). ``sizes`` maps each ``combo_id`` to its number of
+    V_Join rows, as phase I's allocation table gives it (its per-combo
+    ``count`` sums; every count positive): it sizes each partition's
+    fresh-key range and tells whether invalid tuples exist. ``max_key`` is
+    the largest key in ``r2_df``.
     """
     valid_sizes = {c: n for c, n in sizes.items() if c != INVALID_COMBO}
     bases = _key_bases(valid_sizes, max_key)

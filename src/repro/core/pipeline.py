@@ -3,12 +3,16 @@
 ``c_extension`` wires the pieces: Spark computes the bin histogram and the
 active-combo table (which also yields R2's largest key), a driver-side
 phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
-allocation, Spark materialises V_Join (the per-combo row counts are the
-action that fills its cache), and phase II completes the FKs in one Spark
-pass that builds, persists and materialises ``R̂1``; fresh households for
-``R̂2`` are read back from the cached ``R̂1``. The result is ``R̂1`` plus
-the (possibly augmented) ``R̂2``. Only ``vjoin`` and ``r1_hat`` are cached;
-unpersisting those two releases everything a solve cached.
+allocation, Spark tags V_Join with it (persisted; phase II's first action
+fills the cache), and phase II completes the FKs in one Spark pass that
+builds, persists and materialises ``R̂1``; fresh households for ``R̂2`` are
+read back from the cached ``R̂1``. Phase II's per-combo sizes, which fix
+its fresh-key ranges, are the allocation's per-combo sums: both phase-I
+strategies allocate every tuple of every bin, so they equal V_Join's
+per-combo row counts without a Spark job to count them. The result is
+``R̂1`` plus the (possibly augmented) ``R̂2``. Only ``vjoin`` and
+``r1_hat`` are cached; unpersisting those two releases everything a solve
+cached.
 
 Per-stage wall times are recorded for the Figure-11/13 runtime tables.
 """
@@ -27,7 +31,7 @@ from .allocation import (
     materialize_vjoin,
 )
 from .baseline import baseline_phase1
-from .binning import Binning, Combos, active_r2_columns
+from .binning import Binning, Combos, active_r2_columns, bin_columns
 from .constraints import CC, DC
 from .hybrid import Phase1Result, hybrid_phase1
 from .phase2 import complete_fk
@@ -59,24 +63,23 @@ def c_extension(
     r1_key: str = "p_id",
     r2_key: str = "h_id",
     fk: str = "h_id",
-    attr_cols: list[str] | None = None,
 ) -> CExtensionResult:
     """Solve C-Extension for ``r1_df`` (missing FK) and ``r2_df``.
 
-    ``attr_cols`` restricts binning to a subset of R1 columns (used by the
-    snowflake driver, where the accumulated view carries already-imputed FK
-    columns that must not become bin keys). CC R1-conditions may only
-    reference these columns.
+    Tuples are binned on the R1 columns some CC's R1 condition reads
+    (:func:`~.binning.bin_columns`); every other column, such as an FK the
+    snowflake driver imputed in an earlier step, is carried through V_Join
+    untouched.
 
-    Raises ``ValueError`` when an R1 attribute column holds a null (its
-    tuples would fall in no bin) or when R2 is empty while some CC has an
-    R2 condition (no B-combo exists to assign).
+    Raises ``ValueError`` when a bin column holds a null (its tuples would
+    fall in no bin) or when R2 is empty while some CC has an R2 condition
+    (no B-combo exists to assign).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     t_total = time.perf_counter()
 
-    attrs = attr_cols or [c for c in r1_df.columns if c != r1_key]
+    attrs = bin_columns(ccs, [c for c in r1_df.columns if c != r1_key])
     if r1_key != "p_id":
         r1_df = r1_df.withColumnRenamed(r1_key, "p_id")
 
@@ -109,13 +112,14 @@ def c_extension(
     t_phase1 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vjoin = materialize_vjoin(spark, r1_df, binning, p1.alloc, key="p_id")
+    vjoin = materialize_vjoin(spark, r1_df, binning, p1.alloc)
     if method == "hybrid":
         vjoin = mark_null_combos_invalid(vjoin)
     else:
         vjoin = fill_null_combos_random(vjoin, combos, seed=seed)
     vjoin = vjoin.persist()
-    sizes = dict(vjoin.groupBy("combo_id").count().collect())
+    per_combo = p1.alloc.groupby("combo_id")["count"].sum()
+    sizes = {int(c): int(n) for c, n in per_combo.items()}
     t_fill = time.perf_counter() - t0
 
     if active:

@@ -52,10 +52,6 @@ def snowflake_extension(
     r1 = fact
     steps: list[CExtensionResult] = []
     for i, link in enumerate(links):
-        # bin only on columns the step's CCs select on — the widened view
-        # carries already-imputed FKs whose cardinality must not become bins
-        # (DC columns need not be bin keys: V_Join keeps every R1 column)
-        attr_cols = sorted({col for cc in link.ccs for col in cc.r1.columns}) or None
         res = c_extension(
             spark,
             r1,
@@ -66,7 +62,6 @@ def snowflake_extension(
             r2_key=link.r2_key,
             fk=link.fk,
             seed=seed + i,
-            attr_cols=attr_cols,
         )
         steps.append(res)
         # widen R1 with the completed dimension (prefix to avoid collisions)

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro import census, workloads
-from repro.core.binning import Binning, Combos, active_r2_columns
+from repro.core.binning import Binning, Combos, active_r2_columns, bin_columns
 from repro.core.constraints import CC, Cond, DC, OutsideComp, pairwise_dc
 from repro.core.pipeline import c_extension
 
@@ -45,8 +45,8 @@ def dcs_good() -> list[DC]:
 
 def build_phase1_inputs(db: census.CensusDB, ccs: list[CC]):
     """Driver-side binning/combos exactly as the pipeline builds them."""
-    attrs = ["Age", "Rel", "Multi_ling"]
     r1 = db.persons_missing_fk()
+    attrs = bin_columns(ccs, [c for c in r1.columns if c != "p_id"])
     binning = Binning.build(
         r1.groupby(attrs).size().reset_index(name="count"), ccs, attrs
     )

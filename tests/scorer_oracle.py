@@ -3,6 +3,9 @@
 One Python ``set`` of bins and one of combos per CC, and a loop over every
 CC per (bin, combo) question: obviously correct, so the tests keep it as the
 oracle for the coverage matrix and for counting what an allocation achieves.
+A bin's R1 test is ``Cond.matches_row`` on its representative row, one bin
+at a time, not the vectorised ``Cond.mask`` that ``Binning.cond_bin_ids``
+runs.
 """
 from repro.core.binning import Binning, Combos
 from repro.core.constraints import CC
@@ -13,7 +16,10 @@ class Scorer:
 
     def __init__(self, ccs: list[CC], binning: Binning, combos: Combos):
         self.cc_ids = [c.cc_id for c in ccs]
-        self.bin_sets = {c.cc_id: set(binning.cond_bin_ids(c.r1).tolist()) for c in ccs}
+        reps = binning.bins.to_dict("records")
+        self.bin_sets = {
+            c.cc_id: {int(r["bin_id"]) for r in reps if c.r1.matches_row(r)} for c in ccs
+        }
         self.combo_sets = {
             c.cc_id: set(combos.cond_combo_ids(c.r2).tolist()) for c in ccs
         }

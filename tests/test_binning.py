@@ -12,6 +12,7 @@ from repro.core.binning import (
 )
 from repro.core.constraints import CC, Cond
 from tests.conftest import build_phase1_inputs
+from tests.scorer_oracle import Scorer
 
 
 def _cc(i, r1, r2=None, k=0):
@@ -145,11 +146,13 @@ def test_combos_non_active_column_raises(db):
 def test_coverage_masks_match_cond_ids(db, ccs_bad):
     binning, combos = build_phase1_inputs(db, ccs_bad)
     cov = Coverage.build(ccs_bad, binning, combos)
+    scorer = Scorer(ccs_bad, binning, combos)
     assert cov.count.shape == (len(binning.bins), len(combos))
     want = np.zeros(cov.count.shape, dtype=np.int64)
     for cc in ccs_bad:
         i = cov.row[cc.cc_id]
-        bins, cids = binning.cond_bin_ids(cc.r1), combos.cond_combo_ids(cc.r2)
+        bins = sorted(scorer.bin_sets[cc.cc_id])
+        cids = sorted(scorer.combo_sets[cc.cc_id])
         np.testing.assert_array_equal(np.flatnonzero(cov.bins[i]), bins)
         np.testing.assert_array_equal(np.flatnonzero(cov.combos[i]), cids)
         want[np.ix_(bins, cids)] += 1

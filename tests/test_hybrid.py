@@ -51,10 +51,9 @@ def test_resolve_partials_picks_zero_score_combo():
     structure = build_structure(ccs)
     cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
-    area_c = combos.cond_combo_ids(Cond.of(Area="C"))
     # allocation for parent CC0 (Area=C only) must avoid the (C,O) child combo
     rows = resolve_partials(
-        [Alloc(bin_id=b, combo_ids=area_c, count=1, cc_id=0)],
+        [Alloc(bin_id=b, count=1, cc_id=0)],
         cov,
         combos,
         structure,
@@ -71,10 +70,7 @@ def test_resolve_partials_no_matching_combo_marks_invalid():
     )
     cov = Coverage.build(ccs, binning, combos)
     rows = resolve_partials(
-        [Alloc(bin_id=0, combo_ids=combos.cond_combo_ids(Cond.of(Area="Z")), count=2, cc_id=0)],
-        cov,
-        combos,
-        None,
+        [Alloc(bin_id=0, count=2, cc_id=0)], cov, combos, build_structure(ccs)
     )
     assert rows == [(0, INVALID_COMBO, 2)]
 
@@ -88,7 +84,7 @@ def test_resolve_partials_split_preserves_total():
     cov = Coverage.build(ccs, binning, combos)
     b = int(binning.bins["bin_id"].iloc[0])
     rows = resolve_partials(
-        [Alloc(bin_id=b, combo_ids=combos.cond_combo_ids(Cond.of(Area="C")), count=5, cc_id=0)],
+        [Alloc(bin_id=b, count=5, cc_id=0)],
         cov,
         combos,
         build_structure(ccs),

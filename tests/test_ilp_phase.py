@@ -9,15 +9,14 @@ from repro.core.ilp_phase import alg1_allocate
 from tests.scorer_oracle import Scorer
 
 
-def _achieved(allocs, scorer, combos, cc):
+def _achieved(rows, scorer, combos, cc):
     tot = 0
-    for a in allocs:
-        assert len(a.combo_ids) == 1
+    for bin_id, combo_id, count in rows:
         if (
-            a.bin_id in scorer.bin_sets[cc.cc_id]
-            and int(a.combo_ids[0]) in scorer.combo_sets[cc.cc_id]
+            bin_id in scorer.bin_sets[cc.cc_id]
+            and combo_id in scorer.combo_sets[cc.cc_id]
         ):
-            tot += a.count
+            tot += count
     return tot
 
 
@@ -47,8 +46,8 @@ def test_example_41_with_marginals_satisfies_all_ccs(example_41):
     assert res.integral
     scorer = Scorer(ccs, binning, combos)
     for cc in ccs:
-        assert _achieved(res.allocations, scorer, combos, cc) == cc.target
-    assert sum(a.count for a in res.allocations) == 9  # all tuples assigned
+        assert _achieved(res.rows, scorer, combos, cc) == cc.target
+    assert sum(n for _, _, n in res.rows) == 9  # all tuples assigned
     assert sum(avail.values()) == 0
 
 
@@ -60,7 +59,7 @@ def test_example_41_without_marginals_can_err(example_41):
     avail = binning.avail
     res = _alg1(ccs, binning, combos, avail, marginals="none")
     assert all(v >= 0 for v in avail.values())
-    assert sum(a.count for a in res.allocations) + sum(avail.values()) == 9
+    assert sum(n for _, _, n in res.rows) + sum(avail.values()) == 9
 
 
 def test_restricted_marginals_only_touch_relevant_bins(example_41):
@@ -71,8 +70,8 @@ def test_restricted_marginals_only_touch_relevant_bins(example_41):
     avail = binning.avail
     res = _alg1(owner_cc, binning, combos, avail, marginals="restricted")
     scorer = Scorer(owner_cc, binning, combos)
-    assert _achieved(res.allocations, scorer, combos, owner_cc[0]) == 4
-    touched_bins = {a.bin_id for a in res.allocations}
+    assert _achieved(res.rows, scorer, combos, owner_cc[0]) == 4
+    touched_bins = {b for b, _, _ in res.rows}
     assert touched_bins <= set(scorer.bin_sets[0])
 
 
@@ -80,7 +79,7 @@ def test_empty_cc_list_is_noop(example_41):
     binning, combos, _ = example_41
     avail = binning.avail
     res = _alg1([], binning, combos, avail, marginals="all")
-    assert res.allocations == []
+    assert res.rows == []
     assert sum(avail.values()) == 9
 
 
@@ -102,7 +101,7 @@ def test_alg1_infeasible_targets_minimize_slack():
     avail = binning.avail
     res = _alg1(ccs, binning, combos, avail, marginals="all")
     assert res.slack >= 6  # at most 4 tuples exist
-    assert sum(a.count for a in res.allocations) <= 4
+    assert sum(n for _, _, n in res.rows) <= 4
 
 
 def test_bottom_variable_never_counts_for_the_last_combo():
@@ -118,5 +117,5 @@ def test_bottom_variable_never_counts_for_the_last_combo():
     res = _alg1(ccs, binning, combos, avail, marginals="restricted")
     assert res.n_vars == 2  # (bin, N) and (bin, ⊥)
     assert res.slack == 0
-    assert _achieved(res.allocations, Scorer(ccs, binning, combos), combos, ccs[0]) == 2
+    assert _achieved(res.rows, Scorer(ccs, binning, combos), combos, ccs[0]) == 2
     assert sum(avail.values()) == 2

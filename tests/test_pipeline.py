@@ -74,6 +74,41 @@ def test_r1_hat_preserves_attributes(spark, db, solved):
     pd.testing.assert_frame_equal(got, orig, check_dtype=False)
 
 
+@pytest.mark.parametrize(
+    "name", ["solved", "solved_bad", "solved_baseline", "solved_baseline_marg"]
+)
+def test_allocation_sizes_equal_vjoin_counts(request, name):
+    """Phase II reserves fresh keys from the allocation's per-combo sums
+    instead of counting V_Join. That holds because phase I allocates every
+    tuple of every bin, so the sums are V_Join's per-combo row counts."""
+    res = request.getfixturevalue(name)
+    alloc = res.phase1.alloc
+    per_bin = alloc.groupby("bin_id")["count"].sum()
+    bins = res.binning.bins.set_index("bin_id")["count"]
+    pd.testing.assert_series_equal(per_bin, bins, check_names=False, check_dtype=False)
+    want = alloc.groupby("combo_id")["count"].sum().to_dict()
+    got = dict(res.vjoin.groupBy("combo_id").count().collect())
+    assert got == want
+
+
+def test_unread_r1_column_with_nulls_is_not_binned(spark, db, ccs_good, dcs_all):
+    """Only the columns some CC's R1 condition reads are bin keys: a column
+    no CC reads may hold nulls and is carried into R̂1 as it is."""
+    r1 = db.spark_r1(spark).withColumn(
+        "Note", F.when(F.col("p_id") % 3 == 0, F.lit("x"))
+    )
+    res = c_extension(
+        spark, r1, db.spark_r2(spark), ccs_good, dcs_all, method="hybrid", seed=0
+    )
+    assert res.binning.attrs == ["Age", "Rel", "Multi_ling"]
+    got = res.r1_hat.select("p_id", "Note", "h_id").toPandas()
+    assert got["h_id"].notna().all()
+    assert (got["Note"].isna() == (got["p_id"] % 3 != 0)).all()
+    assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
+    res.vjoin.unpersist()
+    res.r1_hat.unpersist()
+
+
 def test_invalid_method_rejected(spark, db, ccs_good, dcs_all):
     with pytest.raises(ValueError):
         c_extension(
