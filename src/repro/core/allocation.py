@@ -10,6 +10,10 @@ assignment to concrete tuples is a single distributed pass:
 3. turn the allocation rows into per-bin ``[start, end)`` index ranges and
    range-join them, yielding each tuple's ``combo_id``.
 
+The mapping and the ranges are built on the driver and hold one row per
+bin or per allocation row, so both joins are broadcast; only R1 is
+shuffled (for the window).
+
 Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
 draws are capped at a bin's availability and the leftovers are filled), and
 ``c_extension`` rejects nulls in the bin columns, so no tuple falls outside
@@ -46,7 +50,7 @@ def materialize_vjoin(
     tuples phase I explicitly marked invalid.
     """
     if binning.attrs:
-        map_df = spark.createDataFrame(binning.mapping)
+        map_df = F.broadcast(spark.createDataFrame(binning.mapping))
         tagged = r1_df.join(map_df, on=binning.attrs, how="left")
     else:  # no binnable attributes: a single bin holds everything
         tagged = r1_df.withColumn("bin_id", F.lit(0).cast("long"))
@@ -55,7 +59,7 @@ def materialize_vjoin(
     ranges = alloc_ranges(alloc)
     if len(ranges) == 0:
         return tagged.withColumn("combo_id", F.lit(None).cast("long")).drop("__idx")
-    ranges_df = spark.createDataFrame(ranges)
+    ranges_df = F.broadcast(spark.createDataFrame(ranges))
     joined = tagged.join(
         ranges_df,
         on=(

@@ -22,8 +22,11 @@ error (the paper's ``solveInvalidTuples`` strategy).
 The coloring runs exactly once, as part of the single action that
 materialises the persisted ``R̂1 = R1 ⋈ assignments``. The fresh households
 for ``R̂2`` are read back from that cached ``R̂1``: a fresh key's combo is
-the partition whose reserved key range holds it. The cogroup output itself
-is never cached or acted on: a cached plan keeps all its shuffle
+the partition whose reserved key range holds it. ``R̂1`` is cached
+coalesced to one partition per core (``defaultParallelism``): a cached
+plan keeps the partitioning it was built with, and later reads of ``R̂1``
+should not run one task per shuffle partition. The cogroup output itself
+is never cached or acted on: cached, it would keep all its shuffle
 partitions, so adaptive execution could no longer coalesce the cogroup into
 the single Python worker it runs in now, and the workers' memory would grow
 with the number of cores.
@@ -193,7 +196,7 @@ def complete_fk(
     r1_hat = r1_df.join(assign.withColumnRenamed("h_id", fk), on="p_id", how="left")
     if r1_key != "p_id":
         r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
-    r1_hat = r1_hat.persist()
+    r1_hat = r1_hat.coalesce(spark.sparkContext.defaultParallelism).persist()
 
     # new households = fresh keys used by coloring + invalid resolutions. This
     # scan fills the whole cache of r1_hat (a filter never reaches below a

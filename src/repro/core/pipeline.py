@@ -4,15 +4,19 @@
 active-combo table (which also yields R2's largest key), a driver-side
 phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
 allocation, Spark tags V_Join with it (persisted; phase II's first action
-fills the cache), and phase II completes the FKs in one Spark pass that
+fills the cache), R2's rows are matched to their combos through the
+broadcast combo map, and phase II completes the FKs in one Spark pass that
 builds, persists and materialises ``R̂1``; fresh households for ``R̂2`` are
 read back from the cached ``R̂1``. Phase II's per-combo sizes, which fix
 its fresh-key ranges, are the allocation's per-combo sums: both phase-I
 strategies allocate every tuple of every bin, so they equal V_Join's
 per-combo row counts without a Spark job to count them. The result is
 ``R̂1`` plus the (possibly augmented) ``R̂2``. Only ``vjoin`` and
-``r1_hat`` are cached; unpersisting those two releases everything a solve
-cached.
+``r1_hat`` are cached, each coalesced to one partition per core
+(``defaultParallelism``) so that later reads of them do not fan out to the
+session's shuffle partitions; unpersisting those two releases everything a
+solve cached. The lookup tables built on the driver are broadcast by
+per-query hints; the solver reads and writes no session setting.
 
 Per-stage wall times are recorded for the Figure-11/13 runtime tables.
 """
@@ -117,7 +121,7 @@ def c_extension(
         vjoin = mark_null_combos_invalid(vjoin)
     else:
         vjoin = fill_null_combos_random(vjoin, combos, seed=seed)
-    vjoin = vjoin.persist()
+    vjoin = vjoin.coalesce(spark.sparkContext.defaultParallelism).persist()
     per_combo = p1.alloc.groupby("combo_id")["count"].sum()
     sizes = {int(c): int(n) for c, n in per_combo.items()}
     t_fill = time.perf_counter() - t0
@@ -125,7 +129,9 @@ def c_extension(
     if active:
         # null-safe: a household with a null active value belongs to the
         # null combo that Combos.build counted for it
-        combo_map = spark.createDataFrame(combos.table[[*active, "combo_id"]])
+        combo_map = F.broadcast(
+            spark.createDataFrame(combos.table[[*active, "combo_id"]])
+        )
         same = [r2_df[c].eqNullSafe(combo_map[c]) for c in active]
         r2_with_combo = r2_df.join(combo_map, same, "inner").select(
             r2_df["*"], combo_map["combo_id"]

@@ -271,3 +271,93 @@ def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
     assert again == first
     keys = set(res.r2_hat.select("h_id").toPandas()["h_id"])
     assert all(h in keys for _, h in again)
+
+
+@pytest.mark.parametrize("method", ["hybrid", "baseline"])
+def test_outputs_do_not_depend_on_shuffle_partitions(
+    spark, db, ccs_good, dcs_all, method
+):
+    """V_Join and R̂1 are cached at one partition per core whatever the
+    session's shuffle fan-out; the FKs and the fresh households must not
+    change with it."""
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    got = []
+    try:
+        for n in ("64", "3"):
+            spark.conf.set(key, n)
+            res = c_extension(
+                spark, db.spark_r1(spark), db.spark_r2(spark), ccs_good, dcs_all,
+                method=method, seed=0,
+            )
+            pairs = sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
+            r2 = sorted(map(tuple, res.r2_hat.collect()), key=str)
+            got.append((pairs, r2))
+            res.vjoin.unpersist()
+            res.r1_hat.unpersist()
+    finally:
+        spark.conf.set(key, old)
+    assert got[0] == got[1]
+
+
+def _plan_nodes(df) -> list[tuple[object, tuple]]:
+    """(operator, its ancestors nearest first) for every physical operator
+    of ``df``'s executed plan, looking through adaptive plans, query stages
+    and codegen wrappers and into the plans of the cached relations it
+    reads."""
+    out, todo = [], [(df._jdf.queryExecution().executedPlan(), ())]
+    while todo:
+        node, up = todo.pop()
+        name = node.nodeName()
+        if name == "AdaptiveSparkPlan":
+            todo.append((node.executedPlan(), up))
+            continue
+        if name.endswith("QueryStage"):
+            todo.append((node.plan(), up))
+            continue
+        if name == "InputAdapter" or name.startswith("WholeStageCodegen"):
+            todo.append((node.child(), up))
+            continue
+        out.append((node, up))
+        if name == "InMemoryTableScan":
+            todo.append((node.relation().cachedPlan(), (node, *up)))
+        todo.extend((kid, (node, *up)) for kid in _seq(node.children()))
+    return out
+
+
+def _seq(s) -> list:
+    return [s.apply(i) for i in range(s.size())]
+
+
+@pytest.mark.parametrize("name", ["solved", "solved_baseline"])
+def test_solve_plan_fits_its_data(spark, request, name):
+    """The cached frames hold one partition per core, the driver-built
+    lookup tables (bin map, allocation ranges, combo map) are broadcast,
+    and only V_Join and R̂1 are cached."""
+    res = request.getfixturevalue(name)
+    cores = spark.sparkContext.defaultParallelism
+    assert res.vjoin.rdd.getNumPartitions() <= cores
+    assert res.r1_hat.rdd.getNumPartitions() <= cores
+
+    # R1 rows carry p_id and R2 rows h_id; a leaf with neither is a lookup table
+    lookups = {}
+    for node, up in _plan_nodes(res.r1_hat):
+        cols = frozenset(a.name() for a in _seq(node.output()))
+        if node.children().isEmpty() and not {"p_id", "h_id"} & cols:
+            lookups[cols] = [a.nodeName() for a in up[:2]]
+    assert set(lookups) == {
+        frozenset({"bin_id", *res.binning.attrs}),
+        frozenset({"bin_id", "combo_id", "start", "end"}),
+        frozenset({"combo_id", *res.combos.active_cols}),
+    }
+    for exchange, join in lookups.values():
+        assert exchange == "BroadcastExchange"
+        assert join.startswith("Broadcast") and join.endswith("Join")
+
+    cached = {
+        spark._jvm.System.identityHashCode(node.relation().cacheBuilder())
+        for df in (res.r1_hat, res.r2_hat)
+        for node, _ in _plan_nodes(df)
+        if node.nodeName() == "InMemoryTableScan"
+    }
+    assert len(cached) == 2
