@@ -8,7 +8,9 @@ assignment to concrete tuples is a single distributed pass:
 2. number tuples within each bin (window ``row_number`` ordered by key —
    deterministic);
 3. turn the allocation rows into per-bin ``[start, end)`` index ranges and
-   range-join them, yielding each tuple's ``combo_id``.
+   range-join them, yielding each tuple's ``combo_id``;
+4. select ``p_id``, R1's other columns in R1's order, ``bin_id`` and
+   ``combo_id``; phase II keeps this order in ``R̂1``.
 
 The mapping and the ranges are built on the driver and hold one row per
 bin or per allocation row, so both joins are broadcast; only R1 is
@@ -28,6 +30,9 @@ from pyspark.sql import functions as F
 
 from .binning import Binning, Combos
 from .hybrid import INVALID_COMBO
+
+
+_RANGES_SCHEMA = "bin_id long, combo_id long, start long, end long"
 
 
 def alloc_ranges(alloc: pd.DataFrame) -> pd.DataFrame:
@@ -56,20 +61,18 @@ def materialize_vjoin(
         tagged = r1_df.withColumn("bin_id", F.lit(0).cast("long"))
     w = Window.partitionBy("bin_id").orderBy("p_id")
     tagged = tagged.withColumn("__idx", F.row_number().over(w) - F.lit(1))
-    ranges = alloc_ranges(alloc)
-    if len(ranges) == 0:
-        return tagged.withColumn("combo_id", F.lit(None).cast("long")).drop("__idx")
-    ranges_df = F.broadcast(spark.createDataFrame(ranges))
-    joined = tagged.join(
-        ranges_df,
+    ranges = F.broadcast(spark.createDataFrame(alloc_ranges(alloc), _RANGES_SCHEMA))
+    vjoin = tagged.join(
+        ranges,
         on=(
-            (tagged["bin_id"] == ranges_df["bin_id"])
-            & (tagged["__idx"] >= ranges_df["start"])
-            & (tagged["__idx"] < ranges_df["end"])
+            (tagged["bin_id"] == ranges["bin_id"])
+            & (tagged["__idx"] >= ranges["start"])
+            & (tagged["__idx"] < ranges["end"])
         ),
         how="left",
-    ).drop(ranges_df["bin_id"])
-    return joined.drop("start", "end", "__idx")
+    )
+    r1_cols = [c for c in r1_df.columns if c != "p_id"]
+    return vjoin.select("p_id", *r1_cols, tagged["bin_id"], "combo_id")
 
 
 def fill_null_combos_random(

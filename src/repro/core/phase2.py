@@ -19,17 +19,18 @@ Invalid tuples (no B-assignment possible in phase I) are resolved last on
 the driver: each gets a fresh household whose B-values minimise added CC
 error (the paper's ``solveInvalidTuples`` strategy).
 
-The coloring runs exactly once, as part of the single action that
-materialises the persisted ``R̂1 = R1 ⋈ assignments``. The fresh households
-for ``R̂2`` are read back from that cached ``R̂1``: a fresh key's combo is
-the partition whose reserved key range holds it. ``R̂1`` is cached
-coalesced to one partition per core (``defaultParallelism``): a cached
-plan keeps the partitioning it was built with, and later reads of ``R̂1``
-should not run one task per shuffle partition. The cogroup output itself
-is never cached or acted on: cached, it would keep all its shuffle
-partitions, so adaptive execution could no longer coalesce the cogroup into
-the single Python worker it runs in now, and the workers' memory would grow
-with the number of cores.
+Each partition returns its V_Join rows, sorted by ``p_id``, as ``R̂1``
+rows: ``bin_id`` and ``combo_id`` dropped, the FK added. V_Join carries
+every R1 column, so ``R̂1`` is the cogroup's output plus the invalid
+tuples' V_Join rows, which take their FKs through a broadcast join. The
+coloring runs once, in the single action that materialises the persisted
+``R̂1``; ``R̂2``'s fresh households are read back from it (a fresh key's
+combo is the partition whose reserved range holds it). ``R̂1`` is cached
+hash-partitioned on ``p_id`` into ``defaultParallelism`` partitions. The
+exchange also keeps the cogroup from being the cached plan's final stage,
+whose partitioning adaptive execution may not change: there the cogroup
+would run as all its shuffle partitions over several Python workers,
+while behind the exchange its small input is coalesced into one task.
 """
 from __future__ import annotations
 
@@ -55,34 +56,34 @@ def _key_bases(sizes: dict[int, int], max_key: int) -> dict[int, int]:
     return bases
 
 
-def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str):
+def _completed(rows: pd.DataFrame, fk: str, keys: np.ndarray) -> pd.DataFrame:
+    """V_Join ``rows`` as ``R̂1`` rows: ``bin_id``/``combo_id`` out, ``fk`` in."""
+    out = rows.drop(columns=["bin_id", "combo_id"])
+    return out.assign(**{fk: keys.astype(np.int64)})
+
+
+def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str, fk: str):
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
+            return pd.DataFrame()
         combo_id = int(key[0])
         lp = left.sort_values("p_id").reset_index(drop=True)
         keys = sorted(int(k) for k in right[r2_key].tolist())
         graph = enumerate_edges(lp, dcs)
         c, _ = color_with_extension(graph, keys, bases[combo_id])
-        return pd.DataFrame(
-            {
-                "p_id": lp["p_id"].astype(np.int64),
-                "h_id": np.array([c[i] for i in range(len(lp))], dtype=np.int64),
-                "combo_id": np.int64(combo_id),
-            }
-        )
+        return _completed(lp, fk, np.array([c[i] for i in range(len(lp))]))
 
     return fn
 
 
-def _random_fn(seed: int, bases: dict[int, int], r2_key: str):
+def _random_fn(seed: int, bases: dict[int, int], r2_key: str, fk: str):
     """Baseline phase II: uniformly random candidate key per tuple; with no
     candidate (no R2 row has the combo) each tuple gets its own fresh key
     from the partition's reserved range."""
 
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
+            return pd.DataFrame()
         combo_id = int(key[0])
         g = np.random.default_rng(seed + combo_id)
         keys = np.sort(right[r2_key].to_numpy())
@@ -90,13 +91,7 @@ def _random_fn(seed: int, bases: dict[int, int], r2_key: str):
             h_id = g.choice(keys, size=len(left))
         else:
             h_id = bases[combo_id] + np.arange(len(left))
-        return pd.DataFrame(
-            {
-                "p_id": np.sort(left["p_id"].to_numpy(np.int64)),
-                "h_id": h_id.astype(np.int64),
-                "combo_id": np.int64(combo_id),
-            }
-        )
+        return _completed(left.sort_values("p_id"), fk, h_id)
 
     return fn
 
@@ -133,7 +128,6 @@ def solve_invalid_tuples(
 
 def complete_fk(
     spark: SparkSession,
-    r1_df: DataFrame,
     vjoin_df: DataFrame,
     r2_with_combo: DataFrame,
     r2_df: DataFrame,
@@ -152,51 +146,51 @@ def complete_fk(
 ) -> tuple[DataFrame, DataFrame]:
     """Run Algorithm 4. Returns (r1_hat, r2_hat); ``r1_hat`` is persisted.
 
-    ``r1_df`` is R1 keyed by ``p_id``; ``r1_hat`` is R1 plus the ``fk``
-    column, keyed by ``r1_key``. ``vjoin_df`` must carry ``p_id``, the R1
-    attributes, ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for
-    invalid tuples). ``sizes`` maps each ``combo_id`` to its number of
-    V_Join rows, as phase I's allocation table gives it (its per-combo
-    ``count`` sums; every count positive): it sizes each partition's
-    fresh-key range and tells whether invalid tuples exist. ``max_key`` is
-    the largest key in ``r2_df``.
+    ``vjoin_df`` must carry ``p_id``, then the other R1 columns, then
+    ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for invalid
+    tuples). ``r1_hat`` is those rows without ``bin_id`` and ``combo_id``,
+    with the ``fk`` column added and ``p_id`` renamed to ``r1_key``.
+    ``sizes`` maps each ``combo_id`` to its number of V_Join rows, as phase
+    I's allocation table gives it (its per-combo ``count`` sums; every count
+    positive): it sizes each partition's fresh-key range and tells whether
+    invalid tuples exist. ``max_key`` is the largest key in ``r2_df``.
     """
     valid_sizes = {c: n for c, n in sizes.items() if c != INVALID_COMBO}
     bases = _key_bases(valid_sizes, max_key)
     fresh_start = max_key + 1 + sum(valid_sizes.values())
 
     fn = (
-        _coloring_fn(dcs, bases, r2_key)
+        _coloring_fn(dcs, bases, r2_key, fk)
         if strategy == "coloring"
-        else _random_fn(seed, bases, r2_key)
+        else _random_fn(seed, bases, r2_key, fk)
     )
-    assign = (
+    rows = vjoin_df.drop("bin_id", "combo_id")
+    schema = rows.withColumn(fk, F.lit(None).cast("long")).schema  # nullable FK
+    r1_hat = (
         vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)
         .groupBy("combo_id")
         .cogroup(r2_with_combo.groupBy("combo_id"))
-        .applyInPandas(fn, "p_id long, h_id long, combo_id long")
-        .select("p_id", "h_id")
+        .applyInPandas(fn, schema)
     )
 
+    invalid = vjoin_df.filter(F.col("combo_id") == INVALID_COMBO)
     invalid_pdf = pd.DataFrame({"p_id": [], "bin_id": []})
     if sizes.get(INVALID_COMBO):
-        invalid_pdf = (
-            vjoin_df.filter(F.col("combo_id") == INVALID_COMBO)
-            .select("p_id", "bin_id")
-            .toPandas()
-        )
+        invalid_pdf = invalid.select("p_id", "bin_id").toPandas()
     inv_assign, inv_new = solve_invalid_tuples(
         invalid_pdf, ccs, binning, combos, fresh_start
     )
     if len(inv_assign):
-        assign = assign.unionByName(
-            spark.createDataFrame(inv_assign[["p_id", "h_id"]])
+        inv_fk = spark.createDataFrame(
+            inv_assign[["p_id", "h_id"]].rename(columns={"h_id": fk})
+        )
+        r1_hat = r1_hat.unionByName(
+            invalid.drop("bin_id", "combo_id").join(F.broadcast(inv_fk), on="p_id")
         )
 
-    r1_hat = r1_df.join(assign.withColumnRenamed("h_id", fk), on="p_id", how="left")
     if r1_key != "p_id":
         r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
-    r1_hat = r1_hat.coalesce(spark.sparkContext.defaultParallelism).persist()
+    r1_hat = r1_hat.repartition(spark.sparkContext.defaultParallelism, r1_key).persist()
 
     # new households = fresh keys used by coloring + invalid resolutions. This
     # scan fills the whole cache of r1_hat (a filter never reaches below a

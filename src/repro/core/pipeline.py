@@ -6,13 +6,14 @@ phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
 allocation, Spark tags V_Join with it (persisted; phase II's first action
 fills the cache), R2's rows are matched to their combos through the
 broadcast combo map, and phase II completes the FKs in one Spark pass that
-builds, persists and materialises ``R̂1``; fresh households for ``R̂2`` are
-read back from the cached ``R̂1``. Phase II's per-combo sizes, which fix
+builds ``R̂1`` from V_Join's rows (R1's key, R1's other columns in R1's
+order, the FK), persists and materialises it; fresh households for ``R̂2``
+are read back from the cached ``R̂1``. Phase II's per-combo sizes, which fix
 its fresh-key ranges, are the allocation's per-combo sums: both phase-I
 strategies allocate every tuple of every bin, so they equal V_Join's
 per-combo row counts without a Spark job to count them. The result is
 ``R̂1`` plus the (possibly augmented) ``R̂2``. Only ``vjoin`` and
-``r1_hat`` are cached, each coalesced to one partition per core
+``r1_hat`` are cached, each at one partition per core
 (``defaultParallelism``) so that later reads of them do not fan out to the
 session's shuffle partitions; unpersisting those two releases everything a
 solve cached. The lookup tables built on the driver are broadcast by
@@ -142,7 +143,6 @@ def c_extension(
     t0 = time.perf_counter()
     r1_hat, r2_hat = complete_fk(
         spark,
-        r1_df,
         vjoin,
         r2_with_combo,
         r2_df,

@@ -143,17 +143,23 @@ def _own_instance(spark, seed: int):
 @pytest.mark.parametrize("strategy", ["coloring", "random"])
 def test_partition_fn_independent_of_row_order(db, dcs_all, strategy):
     """The per-partition function gives each tuple the same key whatever
-    order Spark delivers the partition's rows in."""
+    order Spark delivers the partition's V_Join rows in, and returns them as
+    R̂1 rows: the R1 columns unchanged, bin_id and combo_id dropped, the FK
+    added."""
     fn = (
-        phase2._coloring_fn(dcs_all, {0: 10_000}, "h_id")
+        phase2._coloring_fn(dcs_all, {0: 10_000}, "h_id", "fk")
         if strategy == "coloring"
-        else phase2._random_fn(5, {0: 10_000}, "h_id")
+        else phase2._random_fn(5, {0: 10_000}, "h_id", "fk")
     )
-    left = db.persons_missing_fk().assign(combo_id=0)
+    r1 = db.persons_missing_fk()
+    left = r1.assign(bin_id=3, combo_id=0)
     right = db.housing.assign(combo_id=0)
     a = fn((0,), left, right)
     b = fn((0,), left.sample(frac=1, random_state=1), right.sample(frac=1, random_state=2))
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
+    assert list(a.columns) == [*r1.columns, "fk"]
+    pd.testing.assert_frame_equal(_sorted(a).drop(columns="fk"), _sorted(r1))
+    assert a["fk"].notna().all()
 
 
 @pytest.mark.parametrize("method", ["hybrid", "baseline"])
@@ -177,8 +183,8 @@ def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
     calls = spark.sparkContext.accumulator(0)
     make_fn = phase2._coloring_fn
 
-    def counting_coloring_fn(dcs, bases, r2_key):
-        fn = make_fn(dcs, bases, r2_key)
+    def counting_coloring_fn(*args):
+        fn = make_fn(*args)
 
         def counted(key, left, right):
             if not left.empty:
@@ -288,6 +294,46 @@ def test_empty_r2_baselines_give_every_tuple_a_fresh_household(spark, dcs_all, m
         assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
         assert r2_hat["h_id"].is_unique
         assert len(r2_hat) == len(persons)
+    finally:
+        _release(res)
+
+
+def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
+    """One combo and an owner CC below the owner count leave the surplus
+    owners no harmless combo: phase I marks them invalid. Each keeps its R1
+    columns in R̂1 and gets its own fresh household, whose R̂2 row carries
+    the combo ``solve_invalid_tuples`` chose, and the DCs still hold."""
+    db = census.generate(scale=1.0, shrink=0.01, seed=36)
+    owned = db.housing[db.housing["Tenure"] == "Owned"].reset_index(drop=True)
+    owners = int((db.persons["Rel"] == census.OWNER).sum())
+    ccs = [CC(0, Cond.of(Rel=census.OWNER), Cond.of(Tenure="Owned"), owners - 5)]
+    r2 = spark.createDataFrame(owned)
+    res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, seed=0)
+    try:
+        assert len(res.combos) == 1
+        assert res.phase1.n_invalid > 0
+        r1_hat = _sorted(res.r1_hat.toPandas())
+        r2_hat = res.r2_hat.toPandas().set_index("h_id")
+        r1 = _sorted(db.persons_missing_fk())
+        pd.testing.assert_frame_equal(r1_hat.drop(columns="h_id"), r1)
+
+        invalid = (
+            res.vjoin.filter(F.col("combo_id") == INVALID_COMBO)
+            .select("p_id", "bin_id")
+            .toPandas()
+        )
+        assert len(invalid) == res.phase1.n_invalid
+        fresh_start = int(owned["h_id"].max()) + 1 + len(r1) - len(invalid)
+        want, _ = solve_invalid_tuples(
+            invalid, ccs, res.binning, res.combos, fresh_start
+        )
+        got = r1_hat.set_index("p_id").loc[want["p_id"], "h_id"].to_numpy()
+        assert (got == want["h_id"].to_numpy()).all()
+        assert (got >= fresh_start).all()
+        assert (r1_hat["h_id"].value_counts()[got] == 1).all()
+        combo = res.combos.table.set_index("combo_id").loc[want["combo_id"]]
+        assert (r2_hat.loc[got, "Tenure"].to_numpy() == combo["Tenure"].to_numpy()).all()
+        assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
     finally:
         _release(res)
 

@@ -5,9 +5,12 @@
 * baselines: reproduce the paper's failure modes.
 * the running example (Figures 1–3) solves exactly.
 """
+import re
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro import census, workloads
 from repro.core import metrics
@@ -300,6 +303,29 @@ def test_outputs_do_not_depend_on_shuffle_partitions(
     assert got[0] == got[1]
 
 
+def _r1_plus_fk(r1, r1_key: str) -> StructType:
+    """R1's fields with the key first, then a nullable long ``h_id``."""
+    rest = [f for f in r1.schema if f.name != r1_key]
+    return StructType([r1.schema[r1_key], *rest, StructField("h_id", LongType(), True)])
+
+
+@pytest.mark.parametrize("r1_key", ["p_id", "person"])
+def test_r1_hat_schema_is_r1_plus_fk(spark, dcs_all, r1_key):
+    """R̂1 has R1's fields, the key first and the others in R1's order, then
+    a nullable long FK, also when neither the key nor a bin column comes
+    first in R1. ``r1_key != "p_id"`` is the snowflake driver's path."""
+    db = census.generate(scale=1.0, shrink=0.01, seed=37 if r1_key == "p_id" else 38)
+    ccs = workloads.make_cc_good(db, n_cc=60, seed=0)
+    r1 = db.spark_r1(spark).withColumnRenamed("p_id", r1_key)
+    r1 = r1.select("Rel", "Multi_ling", r1_key, "Age")
+    res = c_extension(spark, r1, db.spark_r2(spark), ccs, dcs_all, r1_key=r1_key, seed=0)
+    try:
+        assert res.r1_hat.schema == _r1_plus_fk(r1, r1_key)
+    finally:
+        res.vjoin.unpersist()
+        res.r1_hat.unpersist()
+
+
 def _plan_nodes(df) -> list[tuple[object, tuple]]:
     """(operator, its ancestors nearest first) for every physical operator
     of ``df``'s executed plan, looking through adaptive plans, query stages
@@ -330,14 +356,39 @@ def _seq(s) -> list:
 
 
 @pytest.mark.parametrize("name", ["solved", "solved_baseline"])
-def test_solve_plan_fits_its_data(spark, request, name):
+def test_solve_plan_fits_its_data(spark, db, request, name):
     """The cached frames hold one partition per core, the driver-built
     lookup tables (bin map, allocation ranges, combo map) are broadcast,
-    and only V_Join and R̂1 are cached."""
+    and only V_Join and R̂1 are cached. R̂1 is the cogroup's output itself:
+    no join rebuilds it, and its one hash exchange on ``p_id`` keeps the
+    cogroup from being the cached plan's final stage, so adaptive execution
+    still coalesces the cogroup's inputs into one task."""
     res = request.getfixturevalue(name)
     cores = spark.sparkContext.defaultParallelism
     assert res.vjoin.rdd.getNumPartitions() <= cores
     assert res.r1_hat.rdd.getNumPartitions() <= cores
+    assert res.r1_hat.schema == _r1_plus_fk(db.spark_r1(spark), "p_id")
+
+    nodes = _plan_nodes(res.r1_hat)
+    names = [node.nodeName() for node, _ in nodes]
+    assert "SortMergeJoin" not in names
+    on_p_id = [
+        m.group(1)
+        for node, _ in nodes
+        if node.nodeName() == "Exchange"
+        and (m := re.fullmatch(r"hashpartitioning\(p_id#\d+L?, (\d+)\)",
+                               node.outputPartitioning().toString()))
+    ]
+    assert on_p_id == [str(cores)]
+    cogroup_reads = []
+    for node, up in nodes:
+        above = [a.nodeName() for a in up]
+        if node.nodeName() == "AQEShuffleRead" and "FlatMapCoGroupsInPandas" in above:
+            below_cogroup = above[: above.index("FlatMapCoGroupsInPandas")]
+            if not {"Exchange", "InMemoryTableScan"} & set(below_cogroup):
+                cogroup_reads.append(node)
+    assert len(cogroup_reads) == 2
+    assert all(read.isCoalescedRead() for read in cogroup_reads)
 
     # R1 rows carry p_id and R2 rows h_id; a leaf with neither is a lookup table
     lookups = {}
