@@ -1,13 +1,11 @@
 """SparkSession factory for standalone spark-submit / python runs."""
-import os
-
 from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")

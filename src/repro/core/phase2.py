@@ -10,10 +10,11 @@ list coloring on it (§A.3 notes this parallelism explicitly). Rows are
 sorted by ``p_id`` first, so the coloring does not depend on the order in
 which Spark delivers them.
 
-Skipped vertices take fresh colors = fresh R2 keys; per-partition key ranges
-are pre-reserved on the driver from each partition's size in phase I's
-allocation table (a partition can never need more new keys than it has
-tuples), so fresh keys are globally unique without coordination.
+The coloring's candidate list is the partition's R2 keys followed by its
+fresh keys: each partition reserves, on the driver, a range of as many
+fresh keys as it has tuples in phase I's allocation table, and the
+coloring never leaves that range, so fresh keys are globally unique
+without coordination.
 
 Invalid tuples (no B-assignment possible in phase I) are resolved last on
 the driver: each gets a fresh household whose B-values minimise added CC
@@ -68,9 +69,8 @@ def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str, fk: str):
             return pd.DataFrame()
         combo_id = int(key[0])
         lp = left.sort_values("p_id").reset_index(drop=True)
-        keys = sorted(int(k) for k in right[r2_key].tolist())
         graph = enumerate_edges(lp, dcs)
-        c, _ = color_with_extension(graph, keys, bases[combo_id])
+        c, _ = color_with_extension(graph, right[r2_key].tolist(), bases[combo_id])
         return _completed(lp, fk, np.array([c[i] for i in range(len(lp))]))
 
     return fn

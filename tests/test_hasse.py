@@ -228,6 +228,42 @@ def test_alg2_shortfall_reported_when_infeasible():
     assert res.shortfall == {0: 7}
 
 
+def test_alg2_overconstrained_child_is_met_and_parent_capped(spark, db, dcs_all):
+    """A child whose target exceeds its parent's (8 > 5): Algorithm 2 draws
+    the child's 8 and nothing more for the parent, and reports no
+    shortfall; end to end the parent counts the child's 8 tuples."""
+    from repro import census
+    from repro.core import metrics
+    from repro.core.pipeline import c_extension
+    from tests.conftest import build_phase1_inputs
+
+    ccs = [
+        CC(0, Cond.of(Rel=census.OWNER), Cond.of(Tenure="Owned"), 5),
+        CC(1, Cond.of(Rel=census.OWNER, Age=(19, 40)), Cond.of(Tenure="Owned"), 8),
+    ]
+    binning, combos = build_phase1_inputs(db, ccs)
+    s = build_structure(ccs)
+    s1, s2 = split_s1_s2(s)
+    assert s2 == []
+    res = alg2_allocate(s, s1, Coverage.build(ccs, binning, combos), binning.avail)
+    drawn: dict[int, int] = {}
+    for a in res.allocations:
+        drawn[a.cc_id] = drawn.get(a.cc_id, 0) + a.count
+    assert drawn == {1: 8}
+    assert res.shortfall == {}
+
+    solved = c_extension(
+        spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs_all,
+        method="hybrid", seed=0,
+    )
+    rep = metrics.cc_report(solved.r1_hat, solved.r2_hat, ccs).set_index("cc_id")
+    assert rep.loc[0, "achieved"] == 8 and rep.loc[0, "rel_err"] == 0.3
+    assert rep.loc[1, "achieved"] == 8
+    assert metrics.dc_error(solved.r1_hat, dcs_all) == 0.0
+    solved.vjoin.unpersist()
+    solved.r1_hat.unpersist()
+
+
 def test_alg2_respects_avail_mutation():
     rows_r1 = [(5, "A")] * 10
     ccs = [_cc(0, {"Rel": "A"}, {"Area": "C"}, 4)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro import census, workloads
 from repro.core import metrics
 from repro.core.binning import Coverage
-from repro.core.coloring import color_with_extension, coloring_lf
+from repro.core.coloring import color_with_extension
 from repro.core.conflict import ConflictGraph, enumerate_edges
 from repro.core.constraints import (
     CC,
@@ -108,19 +108,6 @@ def test_coloring_extension_always_proper(n, raw_edges, n_colors):
         assert len({c[v] for v in e}) >= 2
 
 
-@given(
-    st.integers(2, 8),
-    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=15),
-)
-@settings(max_examples=60, deadline=None)
-def test_coloring_lf_never_miscolors(n, raw_edges):
-    edges = [tuple(sorted(e)) for e in raw_edges if e[0] != e[1] and max(e) < n]
-    c, skipped = coloring_lf(ConflictGraph.from_edges(n, edges), {}, list(range(3)))
-    for e in edges:
-        if all(v in c for v in e):
-            assert len({c[v] for v in e}) >= 2
-
-
 # ----------------------------------------------------------------- conflict
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
@@ -205,33 +192,16 @@ candidate_colors = st.lists(st.integers(0, 12), max_size=6)
 @settings(max_examples=150, deadline=None)
 def test_dense_coloring_equals_oracle(instance, colors):
     """Same edge count and the very same coloring, fresh colors included,
-    as Algorithm 3 over the brute-force edge list."""
+    as Algorithm 3 over the brute-force edge list; every fresh color lies in
+    the ``len(pdf)`` colors reserved from 100."""
     pdf, dc_list = instance
     graph = enumerate_edges(pdf, dc_list)
     edges = oracle.brute_edges(pdf, dc_list)
     assert len(graph) == len(edges)
     assert oracle.edge_set(graph) == set(edges)
-    assert color_with_extension(graph, colors, 100) == oracle.color_with_extension(
-        len(pdf), edges, colors, 100
-    )
-
-
-@given(
-    st.one_of(pairwise_instances, mixed_instances),
-    candidate_colors,
-    st.dictionaries(st.integers(0, 13), st.integers(0, 15), max_size=6),
-)
-@settings(max_examples=150, deadline=None)
-def test_dense_coloring_lf_equals_oracle_with_precolored(instance, colors, pre):
-    """Pre-colored vertices (colors in L or not) and too few colors: the
-    same coloring and the same skipped vertices, in the same order."""
-    pdf, dc_list = instance
-    pre = {v: col for v, col in pre.items() if v < len(pdf)}
-    graph = enumerate_edges(pdf, dc_list)
-    edges = oracle.brute_edges(pdf, dc_list)
-    assert coloring_lf(graph, dict(pre), colors) == oracle.coloring_lf(
-        len(pdf), edges, dict(pre), colors
-    )
+    c, fresh = color_with_extension(graph, colors, 100)
+    assert (c, fresh) == oracle.color_with_extension(len(pdf), edges, colors, 100)
+    assert all(100 <= col < 100 + len(pdf) for col in fresh)
 
 
 # ------------------------------------------------- DC error vs DuckDB SQL
