@@ -3,10 +3,14 @@
 Edges connect sets of R1 tuples that would violate a Foreign-Key DC's
 condition φ if they shared an FK value. Enumeration is per phase-II
 partition (tuples sharing a B-combo). Pairwise edges, the only kind the
-Table-4 DCs produce, go into a dense boolean adjacency matrix filled with
-NumPy broadcasting (``pairwise_mask``); k-ary edges (k ≥ 3, only from the
-NP-hardness gadget) are listed explicitly by ``violations``, the same
-evaluator ``metrics.dc_error`` runs over households.
+Table-4 DCs produce, go into a dense boolean adjacency matrix. Two tuples
+with equal values in the 2-ary DCs' columns conflict with exactly the same
+tuples, so the DC predicates are evaluated once over the distinct such
+tuples, the *types* (``type_conflicts``, NumPy broadcasting through
+``pairwise_mask``), and a partition's matrix is a gather of the type matrix
+at its rows' type codes. k-ary edges (k ≥ 3, only from the NP-hardness
+gadget) are listed explicitly by ``violations``, the same evaluator
+``metrics.dc_error`` runs over households.
 """
 from __future__ import annotations
 
@@ -96,18 +100,46 @@ def violations(pdf: pd.DataFrame, dc: DC, group) -> tuple[np.ndarray, ...]:
     return tuple(r[ok] for r in rows)
 
 
-def enumerate_edges(pdf: pd.DataFrame, dcs: list[DC]) -> ConflictGraph:
-    """The partition's conflict hypergraph, with edges deduplicated."""
-    n = len(pdf)
-    adj = np.zeros((n, n), dtype=bool)
-    hyper: set[tuple[int, ...]] = set()
+def type_conflicts(pdf: pd.DataFrame, dcs: list[DC]) -> tuple[np.ndarray, np.ndarray]:
+    """The conflict matrix over ``pdf``'s types and each row's type code.
+
+    A type is a distinct tuple of values in the columns the 2-ary DCs read,
+    nulls included; codes number the types in order of first appearance.
+    Entry ``(s, t)`` of the symmetric T×T matrix says whether a row of type
+    ``s`` and a different row of type ``t`` form a pairwise edge; a set
+    diagonal entry means two rows of that type conflict with each other.
+    """
+    cols = list(dict.fromkeys(c for dc in dcs if dc.arity == 2 for c in dc.columns))
+    if cols:
+        codes = pdf.groupby(cols, dropna=False, sort=False).ngroup().to_numpy()
+    else:
+        codes = np.zeros(len(pdf), dtype=np.int64)
+    _, first = np.unique(codes, return_index=True)
+    types = pdf.iloc[first]
+    conf = np.zeros((len(types), len(types)), dtype=bool)
     for dc in dcs:
         if dc.arity == 2:
-            i1, i2, ok = pairwise_mask(pdf, dc)
-            adj[np.ix_(i1, i2)] |= ok
-        else:
-            tuples = np.sort(np.stack(violations(pdf, dc, np.zeros(n)), axis=1))
-            hyper.update(map(tuple, tuples.tolist()))
-    adj |= adj.T
+            i1, i2, ok = pairwise_mask(types, dc)
+            conf[np.ix_(i1, i2)] |= ok
+    return conf | conf.T, codes
+
+
+def enumerate_edges(
+    pdf: pd.DataFrame,
+    dcs: list[DC],
+    types: tuple[np.ndarray, np.ndarray] | None = None,
+) -> ConflictGraph:
+    """The partition's conflict hypergraph, with edges deduplicated.
+
+    ``types`` is ``type_conflicts``' output for a frame holding these rows,
+    its codes taken at them; without it the matrix is built from ``pdf``.
+    """
+    conf, codes = type_conflicts(pdf, dcs) if types is None else types
+    adj = conf[np.ix_(codes, codes)]
     np.fill_diagonal(adj, False)
+    hyper: set[tuple[int, ...]] = set()
+    for dc in dcs:
+        if dc.arity != 2:
+            tuples = np.sort(np.stack(violations(pdf, dc, np.zeros(len(pdf))), axis=1))
+            hyper.update(map(tuple, tuples.tolist()))
     return ConflictGraph(adj, sorted(hyper))

@@ -160,6 +160,7 @@ def split_s1_s2(structure: HasseStructure) -> tuple[list[int], list[int]]:
 class Alg2Result:
     allocations: list[Alloc]
     shortfall: dict[int, int] = field(default_factory=dict)  # cc_id → missing
+    excess: dict[int, int] = field(default_factory=dict)  # cc_id → over target
 
 
 def alg2_allocate(
@@ -179,7 +180,9 @@ def alg2_allocate(
     children does (e.g. an Area-only parent drawing tuples with a tenure
     other than its Tenure-Area child's). Each draw may take any combo the
     parent covers; ``hybrid.resolve_partials`` then picks the one adding
-    the fewest spurious contributions.
+    the fewest spurious contributions. A CC that cannot get its ``extra``
+    lands in ``shortfall``; one whose children's targets already exceed its
+    own draws nothing and lands in ``excess``.
     """
     by_id = {c.cc_id: c for c in structure.ccs}
     s1 = set(s1_ids)
@@ -195,7 +198,8 @@ def alg2_allocate(
         for k in kids:
             visit(k)
         extra = cc.target - sum(by_id[k].target for k in kids)
-        if extra < 0:  # overconstrained input; cap (recorded as error later)
+        if extra < 0:  # overconstrained input: draw nothing, record the excess
+            res.excess[cc_id] = -extra
             extra = 0
         i, ks = cov.row[cc_id], cov.rows(kids)
         under_kid = cov.bins[ks].any(axis=0)

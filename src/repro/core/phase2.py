@@ -2,13 +2,17 @@
 
 The paper's key optimization (§5.2) — partitioning V_Join and R2 by the
 assigned B-values, since candidate FK sets are disjoint across partitions —
-maps directly onto Spark:
-``vjoin.groupBy(combo).cogroup(r2.groupBy(combo)).applyInPandas(...)``.
-Each partition independently builds its conflict hypergraph (a dense
-boolean matrix over its tuples, :mod:`.conflict`) and runs the largest-first
-list coloring on it (§A.3 notes this parallelism explicitly). Rows are
-sorted by ``p_id`` first, so the coloring does not depend on the order in
-which Spark delivers them.
+runs inside one Spark cogroup:
+``vjoin.groupBy(bucket).cogroup(r2.groupBy(bucket)).applyInPandas(...)``
+over a constant bucket, so each task makes one Python call, and Spark's
+grouped-map round trip and the DC predicates are paid once per task rather
+than once per combo. That call builds one type conflict matrix over all
+its rows (:func:`.conflict.type_conflicts`), then takes its combos in
+``combo_id`` order: each builds its conflict hypergraph (a dense boolean
+matrix over its tuples, gathered from the type matrix) and runs the
+largest-first list coloring on it, exactly as it would on its own frames.
+Rows are sorted by ``p_id`` within each combo first, so the coloring does
+not depend on the order in which Spark delivers them.
 
 The coloring's candidate list is the partition's R2 keys followed by its
 fresh keys: each partition reserves, on the driver, a range of as many
@@ -20,18 +24,20 @@ Invalid tuples (no B-assignment possible in phase I) are resolved last on
 the driver: each gets a fresh household whose B-values minimise added CC
 error (the paper's ``solveInvalidTuples`` strategy).
 
-Each partition returns its V_Join rows, sorted by ``p_id``, as ``R̂1``
-rows: ``bin_id`` and ``combo_id`` dropped, the FK added. V_Join carries
-every R1 column, so ``R̂1`` is the cogroup's output plus the invalid
-tuples' V_Join rows, which take their FKs through a broadcast join. The
-coloring runs once, in the single action that materialises the persisted
-``R̂1``; ``R̂2``'s fresh households are read back from it (a fresh key's
-combo is the partition whose reserved range holds it). ``R̂1`` is cached
-hash-partitioned on ``p_id`` into ``defaultParallelism`` partitions. The
-exchange also keeps the cogroup from being the cached plan's final stage,
-whose partitioning adaptive execution may not change: there the cogroup
-would run as all its shuffle partitions over several Python workers,
-while behind the exchange its small input is coalesced into one task.
+The task returns its V_Join rows, sorted by ``combo_id`` and ``p_id``, as
+``R̂1`` rows: ``bin_id`` and ``combo_id`` dropped, the FK added. V_Join
+carries every R1 column, so ``R̂1`` is the cogroup's output plus the
+invalid tuples' V_Join rows, which take their FKs through a broadcast join.
+The coloring runs once, in the single action that materialises the
+persisted ``R̂1``; ``R̂2``'s fresh households are read back from it (a fresh
+key's combo is the partition whose reserved range holds it) and copy their
+other columns from R2's smallest-key row, which the pipeline's R2
+aggregation already yields. ``R̂1`` is cached hash-partitioned on ``p_id``
+into ``defaultParallelism`` partitions. The exchange also keeps the cogroup
+from being the cached plan's final stage, whose partitioning adaptive
+execution may not change: there the cogroup would run as all its shuffle
+partitions over several Python workers, while behind the exchange its small
+input is coalesced into one task.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from pyspark.sql import functions as F
 
 from .binning import Binning, Combos, Coverage
 from .coloring import color_with_extension
-from .conflict import enumerate_edges
+from .conflict import enumerate_edges, type_conflicts
 from .constraints import CC, DC
 from .hybrid import INVALID_COMBO
 
@@ -63,15 +69,35 @@ def _completed(rows: pd.DataFrame, fk: str, keys: np.ndarray) -> pd.DataFrame:
     return out.assign(**{fk: keys.astype(np.int64)})
 
 
+def _combo_rows(left: pd.DataFrame) -> list[tuple[int, np.ndarray]]:
+    """(combo_id, row positions) of each combo in ``left``, by ``combo_id``."""
+    groups = left.groupby("combo_id").indices
+    return sorted((int(c), idx) for c, idx in groups.items())
+
+
+def _keys_by_combo(right: pd.DataFrame, r2_key: str) -> dict[int, list[int]]:
+    """Each combo's sorted R2 keys."""
+    groups = right.groupby("combo_id")[r2_key]
+    return {int(c): sorted(keys.tolist()) for c, keys in groups}
+
+
 def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str, fk: str):
+    """Algorithm 4 over V_Join rows of one or more combos: one type matrix
+    for all the rows, then each combo colored as on its own frames."""
+
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
             return pd.DataFrame()
-        combo_id = int(key[0])
-        lp = left.sort_values("p_id").reset_index(drop=True)
-        graph = enumerate_edges(lp, dcs)
-        c, _ = color_with_extension(graph, right[r2_key].tolist(), bases[combo_id])
-        return _completed(lp, fk, np.array([c[i] for i in range(len(lp))]))
+        left = left.sort_values(["combo_id", "p_id"]).reset_index(drop=True)
+        conf, codes = type_conflicts(left, dcs)
+        r2_keys = _keys_by_combo(right, r2_key)
+        out = np.empty(len(left), dtype=np.int64)
+        for combo_id, idx in _combo_rows(left):
+            graph = enumerate_edges(left.iloc[idx], dcs, (conf, codes[idx]))
+            colors = r2_keys.get(combo_id, [])
+            c, _ = color_with_extension(graph, colors, bases[combo_id])
+            out[idx] = [c[i] for i in range(len(idx))]
+        return _completed(left, fk, out)
 
     return fn
 
@@ -79,19 +105,23 @@ def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str, fk: str):
 def _random_fn(seed: int, bases: dict[int, int], r2_key: str, fk: str):
     """Baseline phase II: uniformly random candidate key per tuple; with no
     candidate (no R2 row has the combo) each tuple gets its own fresh key
-    from the partition's reserved range."""
+    from the partition's reserved range. Combos are drawn one after another
+    in ``combo_id`` order, each from its own seeded generator."""
 
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
             return pd.DataFrame()
-        combo_id = int(key[0])
-        g = np.random.default_rng(seed + combo_id)
-        keys = np.sort(right[r2_key].to_numpy())
-        if len(keys):
-            h_id = g.choice(keys, size=len(left))
-        else:
-            h_id = bases[combo_id] + np.arange(len(left))
-        return _completed(left.sort_values("p_id"), fk, h_id)
+        left = left.sort_values(["combo_id", "p_id"]).reset_index(drop=True)
+        r2_keys = _keys_by_combo(right, r2_key)
+        out = np.empty(len(left), dtype=np.int64)
+        for combo_id, idx in _combo_rows(left):
+            g = np.random.default_rng(seed + combo_id)
+            keys = r2_keys.get(combo_id)
+            if keys:
+                out[idx] = g.choice(keys, size=len(idx))
+            else:
+                out[idx] = bases[combo_id] + np.arange(len(idx))
+        return _completed(left, fk, out)
 
     return fn
 
@@ -138,6 +168,7 @@ def complete_fk(
     *,
     sizes: dict[int, int],
     max_key: int,
+    r2_first: dict | None,
     strategy: str = "coloring",
     r1_key: str = "p_id",
     r2_key: str = "h_id",
@@ -153,7 +184,10 @@ def complete_fk(
     ``sizes`` maps each ``combo_id`` to its number of V_Join rows, as phase
     I's allocation table gives it (its per-combo ``count`` sums; every count
     positive): it sizes each partition's fresh-key range and tells whether
-    invalid tuples exist. ``max_key`` is the largest key in ``r2_df``.
+    invalid tuples exist. ``max_key`` is the largest key in ``r2_df`` and
+    ``r2_first`` its smallest-key row as a column → value dict (None when
+    ``r2_df`` is empty); fresh households copy their non-combo columns from
+    it.
     """
     valid_sizes = {c: n for c, n in sizes.items() if c != INVALID_COMBO}
     bases = _key_bases(valid_sizes, max_key)
@@ -166,10 +200,12 @@ def complete_fk(
     )
     rows = vjoin_df.drop("bin_id", "combo_id")
     schema = rows.withColumn(fk, F.lit(None).cast("long")).schema  # nullable FK
+    # one group per task: the function walks its combos itself
+    bucket = F.lit(0).alias("bucket")
     r1_hat = (
         vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)
-        .groupBy("combo_id")
-        .cogroup(r2_with_combo.groupBy("combo_id"))
+        .groupBy(bucket)
+        .cogroup(r2_with_combo.groupBy(bucket))
         .applyInPandas(fn, schema)
     )
 
@@ -209,22 +245,27 @@ def complete_fk(
     r2_hat = r2_df
     if len(new_pairs):
         new_df = spark.createDataFrame(
-            _new_households(new_pairs, r2_df, combos, r2_key), schema=r2_df.schema
+            _new_households(new_pairs, r2_df.columns, r2_first, combos, r2_key),
+            schema=r2_df.schema,
         )
         r2_hat = r2_df.unionByName(new_df)
     return r1_hat, r2_hat
 
 
 def _new_households(
-    new_pairs: pd.DataFrame, r2_df: DataFrame, combos: Combos, r2_key: str
+    new_pairs: pd.DataFrame,
+    columns: list[str],
+    r2_first: dict | None,
+    combos: Combos,
+    r2_key: str,
 ) -> pd.DataFrame:
     """R2 rows for fresh keys: the combo's active values, and the other
-    columns copied from the R2 row with the smallest key (null if R2 is
+    columns copied from ``r2_first``, R2's smallest-key row (null if R2 is
     empty)."""
     active = combos.active_cols
-    defaults = r2_df.orderBy(r2_key).limit(1).toPandas().reindex([0])
+    defaults = pd.DataFrame([r2_first or {}], columns=columns)
     new = new_pairs.rename(columns={"h_id": r2_key}).merge(
         combos.table[["combo_id", *active]], on="combo_id"
     )
     new = new.merge(defaults.drop(columns=[r2_key, *active]), how="cross")
-    return new[r2_df.columns]
+    return new[columns]

@@ -1,7 +1,8 @@
 """End-to-end C-Extension solver (Figure 4): phase I + phase II.
 
 ``c_extension`` wires the pieces: Spark computes the bin histogram and the
-active-combo table (which also yields R2's largest key), a driver-side
+active-combo table (which also yields R2's largest key and its
+smallest-key row, the template of fresh households), a driver-side
 phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
 allocation, Spark tags V_Join with it (persisted; phase II's first action
 fills the cache), R2's rows are matched to their combos through the
@@ -95,12 +96,20 @@ def c_extension(
     binning = Binning.build(distinct_counts, ccs, attrs)
 
     active = active_r2_columns(ccs)
-    aggs = [F.count("*").alias("count"), F.max(r2_key).alias("__max_key")]
+    # a struct orders by its first field: its minimum is the smallest-key row
+    row = F.struct(r2_key, *[c for c in r2_df.columns if c != r2_key])
+    aggs = [
+        F.count("*").alias("count"),
+        F.max(r2_key).alias("__max_key"),
+        F.min(row).alias("__first"),
+    ]
     active_counts = r2_df.groupBy(*active).agg(*aggs).toPandas()
     if active and active_counts.empty:
         raise ValueError(f"R2 is empty but CCs have conditions on {active}")
     max_key = active_counts.pop("__max_key").max()
     max_key = 0 if pd.isna(max_key) else int(max_key)
+    firsts = active_counts.pop("__first").dropna()
+    r2_first = min(firsts, key=lambda r: r[r2_key], default=None)
     combos = Combos.build(active_counts, active)
 
     t0 = time.perf_counter()
@@ -152,6 +161,7 @@ def c_extension(
         ccs,
         sizes=sizes,
         max_key=max_key,
+        r2_first=r2_first,
         strategy="coloring" if method == "hybrid" else "random",
         r1_key=r1_key,
         r2_key=r2_key,

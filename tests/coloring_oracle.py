@@ -5,7 +5,9 @@ DC row by row; ``coloring_lf`` / ``color_with_extension`` are Algorithm 3
 over an explicit list of edge tuples, walked one edge at a time. Tests
 compare the dense :mod:`repro.core.conflict` / :mod:`repro.core.coloring`
 against them. ``edge_list`` is the tuple-per-edge enumeration the dense
-graph replaced, kept so benchmarks can time the old path on large frames.
+graph replaced, and ``dense_graph`` the row-by-row n×n evaluation the type
+matrix replaced, both kept so benchmarks can time the old paths on large
+frames.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from repro.core.conflict import pairwise_mask, violations
+from repro.core.conflict import ConflictGraph, pairwise_mask, violations
 
 
 def edge_set(graph) -> set[tuple[int, ...]]:
@@ -53,6 +55,19 @@ def edge_list(pdf, dcs) -> list[tuple[int, ...]]:
             if x != y:
                 out.add((x, y) if x < y else (y, x))
     return sorted(out)
+
+
+def dense_graph(pdf, dcs) -> ConflictGraph:
+    """The conflict graph with every 2-ary DC evaluated over all row pairs."""
+    n = len(pdf)
+    adj = np.zeros((n, n), dtype=bool)
+    for dc in dcs:
+        if dc.arity == 2:
+            i1, i2, ok = pairwise_mask(pdf, dc)
+            adj[np.ix_(i1, i2)] |= ok
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return ConflictGraph(adj, edge_list(pdf, [dc for dc in dcs if dc.arity != 2]))
 
 
 def coloring_lf(

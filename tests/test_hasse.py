@@ -231,7 +231,7 @@ def test_alg2_shortfall_reported_when_infeasible():
 def test_alg2_overconstrained_child_is_met_and_parent_capped(spark, db, dcs_all):
     """A child whose target exceeds its parent's (8 > 5): Algorithm 2 draws
     the child's 8 and nothing more for the parent, and reports no
-    shortfall; end to end the parent counts the child's 8 tuples."""
+    shortfall but the parent's excess of 3; end to end the parent counts the child's 8 tuples."""
     from repro import census
     from repro.core import metrics
     from repro.core.pipeline import c_extension
@@ -251,6 +251,7 @@ def test_alg2_overconstrained_child_is_met_and_parent_capped(spark, db, dcs_all)
         drawn[a.cc_id] = drawn.get(a.cc_id, 0) + a.count
     assert drawn == {1: 8}
     assert res.shortfall == {}
+    assert res.excess == {0: 3}
 
     solved = c_extension(
         spark, db.spark_r1(spark), db.spark_r2(spark), ccs, dcs_all,

@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.accumulators import AddingAccumulatorParam
 from pyspark.sql import functions as F
 
 from repro import census, workloads
@@ -178,22 +179,30 @@ def test_output_independent_of_input_order(spark, db, ccs_good, dcs_all, method,
 
 
 def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
-    """One call of the per-partition coloring per non-empty combo partition,
-    and reading R̂1 and R̂2 afterwards does not run it again."""
-    calls = spark.sparkContext.accumulator(0)
-    make_fn = phase2._coloring_fn
+    """The per-task function runs once per solve and colors each non-empty
+    combo partition exactly once (each from its own fresh-key base), and
+    reading R̂1 and R̂2 afterwards runs neither again."""
+    tasks = spark.sparkContext.accumulator(0)
+    # fresh-key bases of the colorings; a tuple sums by concatenation
+    bases = spark.sparkContext.accumulator((), AddingAccumulatorParam(()))
+    make_fn, color = phase2._coloring_fn, phase2.color_with_extension
 
     def counting_coloring_fn(*args):
         fn = make_fn(*args)
 
         def counted(key, left, right):
             if not left.empty:
-                calls.add(1)
+                tasks.add(1)
             return fn(key, left, right)
 
         return counted
 
+    def counting_color(graph, colors, fresh_start):
+        bases.add((fresh_start,))
+        return color(graph, colors, fresh_start)
+
     monkeypatch.setattr(phase2, "_coloring_fn", counting_coloring_fn)
+    monkeypatch.setattr(phase2, "color_with_extension", counting_color)
     r1, r2, ccs = _own_instance(spark, seed=31)
     res = c_extension(spark, r1, r2, ccs, dcs_all, method="hybrid", seed=0)
     try:
@@ -202,10 +211,12 @@ def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
             .select("combo_id").distinct().count()
         )
         assert partitions > 1
-        assert calls.value == partitions
+        assert tasks.value == 1
+        assert len(bases.value) == len(set(bases.value)) == partitions
         res.r1_hat.count()
         res.r2_hat.count()
-        assert calls.value == partitions
+        assert tasks.value == 1
+        assert len(bases.value) == partitions
     finally:
         _release(res)
 

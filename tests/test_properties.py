@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import census, workloads
-from repro.core import metrics
+from repro.core import metrics, phase2
 from repro.core.binning import Coverage
 from repro.core.coloring import color_with_extension
-from repro.core.conflict import ConflictGraph, enumerate_edges
+from repro.core.conflict import ConflictGraph, enumerate_edges, type_conflicts
 from repro.core.constraints import (
     CC,
     CONTAINED,
@@ -202,6 +202,93 @@ def test_dense_coloring_equals_oracle(instance, colors):
     c, fresh = color_with_extension(graph, colors, 100)
     assert (c, fresh) == oracle.color_with_extension(len(pdf), edges, colors, 100)
     assert all(100 <= col < 100 + len(pdf) for col in fresh)
+
+
+# --------------------------------- conflicts over types, one task per combo
+@st.composite
+def typed_frames(draw, max_n: int):
+    """Frames with few distinct DC-column tuples, nulls among them: a null
+    Age is NaN, a null Rel or Cls is None."""
+    n = draw(st.integers(0, max_n))
+    col = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    age = col(st.sampled_from([3.0, 9.0, 20.0, float("nan")]))
+    return pd.DataFrame(
+        {
+            "p_id": range(n),
+            "Age": pd.Series(age, dtype=float),
+            "Rel": pd.Series(col(st.sampled_from(["A", "B", None])), dtype=object),
+            "Cls": pd.Series(col(st.sampled_from(["C0", None])), dtype=object),
+        }
+    )
+
+
+typed_dcs = st.tuples(
+    st.lists(dcs(2), min_size=1, max_size=3), st.lists(dcs(3), max_size=1)
+).map(lambda t: [*t[0], *t[1]])
+
+
+@given(typed_frames(16), typed_dcs, st.data())
+@settings(max_examples=150, deadline=None)
+def test_type_gather_equals_dense_and_oracle(whole, dc_list, data):
+    """A partition's graph gathered from the type matrix of a frame holding
+    it equals the one built from the partition alone, the one evaluated
+    over all its row pairs and the explicit edge list's."""
+    idx = np.array(
+        data.draw(st.lists(st.sampled_from(range(len(whole))), unique=True))
+        if len(whole) else [],
+        dtype=np.int64,
+    )
+    part = whole.iloc[idx]
+    conf, codes = type_conflicts(whole, dc_list)
+    assert len(conf) <= len(whole)
+    got = enumerate_edges(part, dc_list, (conf, codes[idx]))
+    for want in (
+        enumerate_edges(part, dc_list),
+        oracle.dense_graph(part, dc_list),
+        ConflictGraph.from_edges(len(part), oracle.edge_list(part, dc_list)),
+    ):
+        assert np.array_equal(got.adj, want.adj)
+        assert got.hyper == want.hyper
+
+
+@st.composite
+def task_frames(draw):
+    """V_Join rows of combos 0..3 (combo 3 always among them) and R2 keys
+    for some of combos 0..2; combo 3 never has any."""
+    left = draw(typed_frames(16).filter(lambda f: len(f) > 0))
+    combo = draw(st.lists(st.integers(0, 3), min_size=len(left), max_size=len(left)))
+    combo[0] = 3
+    left = left.assign(bin_id=0, combo_id=combo)
+    keys = [draw(st.lists(st.integers(0, 12), max_size=4)) for _ in range(3)]
+    right = pd.DataFrame(
+        [(k, c) for c, ks in enumerate(keys) for k in ks], columns=["h_id", "combo_id"]
+    )
+    return left.sample(frac=1, random_state=draw(st.integers(0, 99))), right
+
+
+@given(task_frames(), typed_dcs, st.sampled_from(["coloring", "random"]))
+@settings(max_examples=100, deadline=None)
+def test_task_fn_equals_its_per_combo_calls(frames, dc_list, strategy):
+    """The per-task function on a frame of several combos returns exactly
+    its calls on each combo's own frames, concatenated by combo_id."""
+    left, right = frames
+    bases = {c: 100 + 20 * c for c in range(4)}
+    fn = (
+        phase2._coloring_fn(dc_list, bases, "h_id", "fk")
+        if strategy == "coloring"
+        else phase2._random_fn(7, bases, "h_id", "fk")
+    )
+    got = fn((0,), left, right)
+    want = pd.concat(
+        [
+            fn((c,), left[left["combo_id"] == c], right[right["combo_id"] == c])
+            for c in sorted(set(left["combo_id"]))
+        ],
+        ignore_index=True,
+    )
+    pd.testing.assert_frame_equal(got, want)
+    fresh = got.loc[left["combo_id"].sort_values().to_numpy() == 3, "fk"]
+    assert fresh.between(bases[3], bases[3] + len(left)).all()
 
 
 # ------------------------------------------------- DC error vs DuckDB SQL
