@@ -93,7 +93,6 @@ def time_cell(spark, method: str, ccs_flavor: str, scale: int) -> dict:
             method=method, seed=ex.SEED,
         )
         runs.append(res.timings)
-        res.vjoin.unpersist()
         res.r1_hat.unpersist()
     timed = runs[1:]
     row = {

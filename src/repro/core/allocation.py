@@ -14,7 +14,8 @@ assignment to concrete tuples is a single distributed pass:
 
 The mapping and the ranges are built on the driver and hold one row per
 bin or per allocation row, so both joins are broadcast; only R1 is
-shuffled (for the window).
+shuffled (for the window). V_Join is not cached: phase II reads it once,
+invalid tuples included, in the cogroup that builds ``R̂1``.
 
 Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
 draws are capped at a bin's availability and the leftovers are filled), and

@@ -4,21 +4,21 @@
 active-combo table (which also yields R2's largest key and its
 smallest-key row, the template of fresh households), a driver-side
 phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
-allocation, Spark tags V_Join with it (persisted; phase II's first action
-fills the cache), R2's rows are matched to their combos through the
-broadcast combo map, and phase II completes the FKs in one Spark pass that
-builds ``R̂1`` from V_Join's rows (R1's key, R1's other columns in R1's
-order, the FK), persists and materialises it; fresh households for ``R̂2``
-are read back from the cached ``R̂1``. Phase II's per-combo sizes, which fix
-its fresh-key ranges, are the allocation's per-combo sums: both phase-I
-strategies allocate every tuple of every bin, so they equal V_Join's
-per-combo row counts without a Spark job to count them. The result is
-``R̂1`` plus the (possibly augmented) ``R̂2``. Only ``vjoin`` and
-``r1_hat`` are cached, each at one partition per core
-(``defaultParallelism``) so that later reads of them do not fan out to the
-session's shuffle partitions; unpersisting those two releases everything a
-solve cached. The lookup tables built on the driver are broadcast by
-per-query hints; the solver reads and writes no session setting.
+allocation, Spark tags V_Join with it, R2's rows are matched to their
+combos through the broadcast combo map, and phase II completes the FKs,
+invalid tuples included, in one Spark pass that reads V_Join once and
+builds ``R̂1`` from its rows (R1's key, R1's other columns in R1's order,
+the FK), persists and materialises it; fresh households for ``R̂2`` are
+read back from the cached ``R̂1``. Phase II takes the allocation table
+itself: both phase-I strategies allocate every tuple of every bin, so its
+per-combo and per-bin sums are V_Join's row counts, and they fix the
+fresh-key ranges without a Spark job to count them. The result is ``R̂1``
+plus the (possibly augmented) ``R̂2``. Only ``r1_hat`` is cached, at one
+partition per core (``defaultParallelism``) so that later reads of it do
+not fan out to the session's shuffle partitions; unpersisting it releases
+everything a solve cached. The lookup tables built on the driver are
+broadcast by per-query hints; the solver reads and writes no session
+setting.
 
 Per-stage wall times are recorded for the Figure-11/13 runtime tables.
 """
@@ -54,7 +54,6 @@ class CExtensionResult:
     binning: Binning
     combos: Combos
     timings: dict = field(default_factory=dict)
-    method: str = "hybrid"
 
 
 def c_extension(
@@ -131,9 +130,6 @@ def c_extension(
         vjoin = mark_null_combos_invalid(vjoin)
     else:
         vjoin = fill_null_combos_random(vjoin, combos, seed=seed)
-    vjoin = vjoin.coalesce(spark.sparkContext.defaultParallelism).persist()
-    per_combo = p1.alloc.groupby("combo_id")["count"].sum()
-    sizes = {int(c): int(n) for c, n in per_combo.items()}
     t_fill = time.perf_counter() - t0
 
     if active:
@@ -159,7 +155,7 @@ def c_extension(
         binning,
         dcs,
         ccs,
-        sizes=sizes,
+        alloc=p1.alloc,
         max_key=max_key,
         r2_first=r2_first,
         strategy="coloring" if method == "hybrid" else "random",
@@ -187,5 +183,4 @@ def c_extension(
         binning=binning,
         combos=combos,
         timings=timings,
-        method=method,
     )

@@ -5,8 +5,9 @@
 and the labels its rows carry. :func:`run_table` runs a table's cells through
 :func:`run_cell`, the one experiment path; ``benchmarks/bench_tables.py``
 runs the same cells one benchmark each and writes ``results/<table>.csv``,
-and ``jobs/run_table.py`` prints a table. The paper's published numbers are
-kept alongside in ``PAPER_*`` constants so EXPERIMENTS.md can diff them.
+``jobs/run_table.py`` prints a table and ``jobs/run_pipeline.py`` one
+cell. The paper's published numbers are kept alongside in ``PAPER_*``
+constants so EXPERIMENTS.md can diff them.
 
 Scale substitution (DESIGN.md §3): the paper's 1× = 25,099 persons; we run
 at ``SHRINK`` (default 0.02 → 1× ≈ 500 persons) so the full grid fits a
@@ -131,7 +132,6 @@ def run_cell(spark: SparkSession, db: census.CensusDB, ccs, dcs, method: str) ->
         "total_s": round(res.timings["total"], 3),
         "n_persons": len(db.persons),
     }
-    res.vjoin.unpersist()
     res.r1_hat.unpersist()
     return out
 

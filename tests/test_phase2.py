@@ -6,7 +6,7 @@ from pyspark.accumulators import AddingAccumulatorParam
 from pyspark.sql import functions as F
 
 from repro import census, workloads
-from repro.core import metrics, phase2
+from repro.core import metrics, phase2, pipeline
 from repro.core.constraints import CC, Cond
 from repro.core.hybrid import INVALID_COMBO
 from repro.core.phase2 import _key_bases, solve_invalid_tuples
@@ -28,8 +28,8 @@ def test_solve_invalid_tuples_empty():
     pdf = pd.DataFrame({"Age": [1], "Rel": ["A"], "count": [1]})
     binning = Binning.build(pdf, ccs, ["Age", "Rel"])
     combos = Combos.build(pd.DataFrame({"Area": ["C"], "count": [2]}), ["Area"])
-    a, n = solve_invalid_tuples(pd.DataFrame(), ccs, binning, combos, 100)
-    assert a.empty and n.empty
+    out = solve_invalid_tuples(pd.Series(dtype=np.int64), ccs, binning, combos, 100)
+    assert out.empty and list(out.columns) == ["bin_id", "start", "combo_id"]
 
 
 def test_all_fk_values_filled(solved):
@@ -128,14 +128,13 @@ def _persistent_rdds(spark) -> set[int]:
 
 
 def _release(res) -> None:
-    res.vjoin.unpersist()
     res.r1_hat.unpersist()
 
 
 def _own_instance(spark, seed: int):
     """A database no other test solves: Spark shares the cache of plans with
     the same result, so a solve of another test's inputs would reuse (and,
-    when released, drop) that test's cached V_Join."""
+    when released, drop) that test's cached R̂1."""
     db = census.generate(scale=1.0, shrink=0.01, seed=seed)
     ccs = workloads.make_cc_good(db, n_cc=60, seed=0)
     return db.spark_r1(spark), db.spark_r2(spark), ccs
@@ -146,14 +145,21 @@ def test_partition_fn_independent_of_row_order(db, dcs_all, strategy):
     """The per-partition function gives each tuple the same key whatever
     order Spark delivers the partition's V_Join rows in, and returns them as
     R̂1 rows: the R1 columns unchanged, bin_id and combo_id dropped, the FK
-    added."""
+    added. Invalid tuples, spread over several bins, take distinct keys from
+    their base in (bin_id, p_id) order."""
+    bases = {0: 10_000, INVALID_COMBO: 20_000}
     fn = (
-        phase2._coloring_fn(dcs_all, {0: 10_000}, "h_id", "fk")
+        phase2._coloring_fn(dcs_all, bases, "h_id", "fk")
         if strategy == "coloring"
-        else phase2._random_fn(5, {0: 10_000}, "h_id", "fk")
+        else phase2._random_fn(5, bases, "h_id", "fk")
     )
     r1 = db.persons_missing_fk()
-    left = r1.assign(bin_id=3, combo_id=0)
+    g = np.random.default_rng(0)
+    invalid = g.random(len(r1)) < 0.3
+    left = r1.assign(
+        bin_id=g.integers(0, 3, len(r1)),
+        combo_id=np.where(invalid, INVALID_COMBO, 0),
+    )
     right = db.housing.assign(combo_id=0)
     a = fn((0,), left, right)
     b = fn((0,), left.sample(frac=1, random_state=1), right.sample(frac=1, random_state=2))
@@ -161,6 +167,12 @@ def test_partition_fn_independent_of_row_order(db, dcs_all, strategy):
     assert list(a.columns) == [*r1.columns, "fk"]
     pd.testing.assert_frame_equal(_sorted(a).drop(columns="fk"), _sorted(r1))
     assert a["fk"].notna().all()
+
+    inv = left[invalid].sort_values(["bin_id", "p_id"])
+    assert inv["bin_id"].nunique() >= 2
+    keys = a.set_index("p_id").loc[inv["p_id"], "fk"].to_numpy()
+    assert (keys == 20_000 + np.arange(len(inv))).all()
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("method", ["hybrid", "baseline"])
@@ -223,14 +235,15 @@ def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
 
 @pytest.mark.parametrize("r1_key", ["p_id", "person"])
 def test_no_cached_data_left_behind(spark, dcs_all, r1_key):
-    """A solve caches V_Join and R̂1 and nothing else. ``r1_key != "p_id"``
-    is the path the snowflake driver takes: only the renamed R̂1 is cached."""
+    """A solve caches R̂1 and nothing else; V_Join is read once, by phase
+    II, and not cached. ``r1_key != "p_id"`` is the path the snowflake
+    driver takes: the renamed R̂1 is what is cached."""
     r1, r2, ccs = _own_instance(spark, seed=32 if r1_key == "p_id" else 33)
     r1 = r1.withColumnRenamed("p_id", r1_key)
     before = _persistent_rdds(spark)
     res = c_extension(spark, r1, r2, ccs, dcs_all, r1_key=r1_key, seed=0)
     res.r2_hat.count()
-    assert len(_persistent_rdds(spark) - before) == 2
+    assert len(_persistent_rdds(spark) - before) == 1
     assert r1_key in res.r1_hat.columns
     assert res.r1_hat.filter(F.col("h_id").isNull()).count() == 0
     _release(res)
@@ -309,15 +322,38 @@ def test_empty_r2_baselines_give_every_tuple_a_fresh_household(spark, dcs_all, m
         _release(res)
 
 
-def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
-    """One combo and an owner CC below the owner count leave the surplus
-    owners no harmless combo: phase I marks them invalid. Each keeps its R1
-    columns in R̂1 and gets its own fresh household, whose R̂2 row carries
-    the combo ``solve_invalid_tuples`` chose, and the DCs still hold."""
+def _invalid_instance(spark):
+    """One combo and an owner CC below the owner count: phase I marks the
+    surplus owners invalid."""
     db = census.generate(scale=1.0, shrink=0.01, seed=36)
     owned = db.housing[db.housing["Tenure"] == "Owned"].reset_index(drop=True)
     owners = int((db.persons["Rel"] == census.OWNER).sum())
     ccs = [CC(0, Cond.of(Rel=census.OWNER), Cond.of(Tenure="Owned"), owners - 5)]
+    return db, owned, ccs
+
+
+def _invalid_keys(invalid: pd.DataFrame, ranges: pd.DataFrame) -> pd.DataFrame:
+    """(p_id, h_id, combo_id) of each invalid tuple in (bin_id, p_id) order,
+    from ``solve_invalid_tuples``' per-bin ranges: a bin's tuples take its
+    keys from ``start`` on."""
+    inv = invalid.sort_values(["bin_id", "p_id"]).reset_index(drop=True)
+    per_bin = ranges.set_index("bin_id").loc[inv["bin_id"]]
+    return pd.DataFrame(
+        {
+            "p_id": inv["p_id"].to_numpy(np.int64),
+            "h_id": per_bin["start"].to_numpy(np.int64)
+            + inv.groupby("bin_id").cumcount().to_numpy(),
+            "combo_id": per_bin["combo_id"].to_numpy(np.int64),
+        }
+    )
+
+
+def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
+    """Phase I marks the surplus owners invalid. Each keeps its R1 columns in
+    R̂1 and gets its own fresh household, numbered in (bin_id, p_id) order,
+    whose R̂2 row carries the combo ``solve_invalid_tuples`` chose for its
+    bin, and the DCs still hold."""
+    db, owned, ccs = _invalid_instance(spark)
     r2 = spark.createDataFrame(owned)
     res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, seed=0)
     try:
@@ -335,12 +371,13 @@ def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
         )
         assert len(invalid) == res.phase1.n_invalid
         fresh_start = int(owned["h_id"].max()) + 1 + len(r1) - len(invalid)
-        want, _ = solve_invalid_tuples(
-            invalid, ccs, res.binning, res.combos, fresh_start
+        ranges = solve_invalid_tuples(
+            invalid.groupby("bin_id").size(), ccs, res.binning, res.combos, fresh_start
         )
+        want = _invalid_keys(invalid, ranges)
         got = r1_hat.set_index("p_id").loc[want["p_id"], "h_id"].to_numpy()
         assert (got == want["h_id"].to_numpy()).all()
-        assert (got >= fresh_start).all()
+        assert (got == fresh_start + np.arange(len(invalid))).all()
         assert (r1_hat["h_id"].value_counts()[got] == 1).all()
         combo = res.combos.table.set_index("combo_id").loc[want["combo_id"]]
         assert (r2_hat.loc[got, "Tenure"].to_numpy() == combo["Tenure"].to_numpy()).all()
@@ -349,21 +386,88 @@ def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
         _release(res)
 
 
+def test_invalid_tuples_independent_of_input_order(spark, dcs_all):
+    """Shuffled, repartitioned R1 and R2 of the invalid-tuple instance give
+    the same R̂1 and R̂2, the invalid tuples' fresh households included."""
+    db, owned, ccs = _invalid_instance(spark)
+    got = []
+    for r1, r2 in (
+        (db.spark_r1(spark), spark.createDataFrame(owned)),
+        (
+            db.spark_r1(spark).orderBy(F.rand(5)).repartition(7),
+            spark.createDataFrame(owned).orderBy(F.rand(6)).repartition(5),
+        ),
+    ):
+        res = c_extension(spark, r1, r2, ccs, dcs_all, seed=0)
+        try:
+            assert res.phase1.n_invalid > 0
+            got.append(
+                (_sorted(res.r1_hat.toPandas()), _sorted(res.r2_hat.toPandas(), "h_id"))
+            )
+        finally:
+            _release(res)
+    for a, b in zip(*got):
+        pd.testing.assert_frame_equal(a, b)
+
+
+@pytest.mark.parametrize("invalid", [False, True])
+def test_complete_fk_runs_one_action(spark, dcs_all, monkeypatch, invalid):
+    """With or without invalid tuples, phase II runs one Spark action: the
+    scan of R̂1's fresh keys (actions inside another action not counted)."""
+    actions, depth = [], [0]
+    frame = type(spark.range(0))
+
+    def counted(name):
+        action = getattr(frame, name)
+
+        def run(self, *a, **k):
+            if inside[0] and not depth[0]:
+                actions.append(name)
+            depth[0] += 1
+            try:
+                return action(self, *a, **k)
+            finally:
+                depth[0] -= 1
+
+        return run
+
+    inside, complete_fk = [False], pipeline.complete_fk
+
+    def watched(*a, **k):
+        inside[0] = True
+        try:
+            return complete_fk(*a, **k)
+        finally:
+            inside[0] = False
+
+    for name in ("toPandas", "collect", "count", "take", "first", "head"):
+        monkeypatch.setattr(frame, name, counted(name))
+    monkeypatch.setattr(pipeline, "complete_fk", watched)
+    if invalid:
+        db, owned, ccs = _invalid_instance(spark)
+        r1, r2 = db.spark_r1(spark), spark.createDataFrame(owned)
+    else:
+        r1, r2, ccs = _own_instance(spark, seed=37)
+    res = c_extension(spark, r1, r2, ccs, dcs_all, seed=0)
+    try:
+        assert (res.phase1.n_invalid > 0) == invalid
+        assert actions == ["toPandas"]
+    finally:
+        _release(res)
+
+
 def _solve_invalid_rowwise(invalid_pdf, ccs, binning, combos, fresh_start):
-    """The row-at-a-time ``solve_invalid_tuples`` it replaced."""
+    """The row-at-a-time ``solve_invalid_tuples``: tuples numbered in
+    (bin_id, p_id) order, each bin's combo scored by the set-based scorer."""
     scorer = Scorer(ccs, binning, combos)
     combo_ids = combos.table["combo_id"].tolist()
-    rows, news, nxt = [], [], fresh_start
-    for _, t in invalid_pdf.sort_values("p_id").iterrows():
+    rows, nxt = [], fresh_start
+    for _, t in invalid_pdf.sort_values(["bin_id", "p_id"]).iterrows():
         b = int(t["bin_id"])
         best = min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
         rows.append((int(t["p_id"]), nxt, int(best)))
-        news.append((nxt, int(best)))
         nxt += 1
-    return (
-        pd.DataFrame(rows, columns=["p_id", "h_id", "combo_id"]),
-        pd.DataFrame(news, columns=["h_id", "combo_id"]),
-    )
+    return pd.DataFrame(rows, columns=["p_id", "h_id", "combo_id"])
 
 
 def test_solve_invalid_tuples_matches_rowwise(db, ccs_bad):
@@ -378,7 +482,10 @@ def test_solve_invalid_tuples_matches_rowwise(db, ccs_bad):
         }
     )
     assert invalid["bin_id"].duplicated().any()
-    got = solve_invalid_tuples(invalid, ccs_bad, binning, combos, 5000)
+    ranges = solve_invalid_tuples(
+        invalid.groupby("bin_id").size(), ccs_bad, binning, combos, 5000
+    )
+    assert ranges["bin_id"].is_monotonic_increasing
+    got = _invalid_keys(invalid, ranges)
     want = _solve_invalid_rowwise(invalid, ccs_bad, binning, combos, 5000)
-    for a, b in zip(got, want):
-        pd.testing.assert_frame_equal(a, b)
+    pd.testing.assert_frame_equal(got, want)

@@ -108,7 +108,6 @@ def test_unread_r1_column_with_nulls_is_not_binned(spark, db, ccs_good, dcs_all)
     assert got["h_id"].notna().all()
     assert (got["Note"].isna() == (got["p_id"] % 3 != 0)).all()
     assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-    res.vjoin.unpersist()
     res.r1_hat.unpersist()
 
 
@@ -227,7 +226,6 @@ def test_null_r2_values_keep_their_households(spark, db, dcs_all, method):
             assert old["used"].all(), f"combo {cid}: fresh household minted"
     if method == "hybrid":
         assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-    res.vjoin.unpersist()
     res.r1_hat.unpersist()
 
 
@@ -251,13 +249,12 @@ def test_unmet_cc_target_finishes_with_shortfall(spark, db, dcs_all):
     fk = res.r1_hat.select("h_id").toPandas()["h_id"]
     assert fk.notna().all()
     assert set(fk) <= set(res.r2_hat.select("h_id").toPandas()["h_id"])
-    res.vjoin.unpersist()
     res.r1_hat.unpersist()
 
 
 def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
-    """Dropping the cached V_Join and R̂1 makes Spark run the fill and
-    phase II again on the next read: the FKs stay identical."""
+    """Dropping the cached R̂1 makes Spark run the fill and phase II again
+    on the next read: the FKs stay identical."""
     res = c_extension(
         spark, db.spark_r1(spark), db.spark_r2(spark), ccs_good, dcs_all,
         method="hybrid", seed=0,
@@ -267,7 +264,6 @@ def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
         return sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
 
     first = pairs()
-    res.vjoin.unpersist(blocking=True)
     res.r1_hat.unpersist(blocking=True)
     assert not res.r1_hat.is_cached
     again = pairs()
@@ -280,9 +276,9 @@ def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
 def test_outputs_do_not_depend_on_shuffle_partitions(
     spark, db, ccs_good, dcs_all, method
 ):
-    """V_Join and R̂1 are cached at one partition per core whatever the
-    session's shuffle fan-out; the FKs and the fresh households must not
-    change with it."""
+    """R̂1 is cached at one partition per core whatever the session's
+    shuffle fan-out; the FKs and the fresh households must not change with
+    it."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
     got = []
@@ -296,7 +292,6 @@ def test_outputs_do_not_depend_on_shuffle_partitions(
             pairs = sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
             r2 = sorted(map(tuple, res.r2_hat.collect()), key=str)
             got.append((pairs, r2))
-            res.vjoin.unpersist()
             res.r1_hat.unpersist()
     finally:
         spark.conf.set(key, old)
@@ -322,7 +317,6 @@ def test_r1_hat_schema_is_r1_plus_fk(spark, dcs_all, r1_key):
     try:
         assert res.r1_hat.schema == _r1_plus_fk(r1, r1_key)
     finally:
-        res.vjoin.unpersist()
         res.r1_hat.unpersist()
 
 
@@ -357,15 +351,14 @@ def _seq(s) -> list:
 
 @pytest.mark.parametrize("name", ["solved", "solved_baseline"])
 def test_solve_plan_fits_its_data(spark, db, request, name):
-    """The cached frames hold one partition per core, the driver-built
+    """The cached R̂1 holds one partition per core, the driver-built
     lookup tables (bin map, allocation ranges, combo map) are broadcast,
-    and only V_Join and R̂1 are cached. R̂1 is the cogroup's output itself:
+    and R̂1 is the one cached relation. R̂1 is the cogroup's output itself:
     no join rebuilds it, and its one hash exchange on ``p_id`` keeps the
     cogroup from being the cached plan's final stage, so adaptive execution
     still coalesces the cogroup's inputs into one task."""
     res = request.getfixturevalue(name)
     cores = spark.sparkContext.defaultParallelism
-    assert res.vjoin.rdd.getNumPartitions() <= cores
     assert res.r1_hat.rdd.getNumPartitions() <= cores
     assert res.r1_hat.schema == _r1_plus_fk(db.spark_r1(spark), "p_id")
 
@@ -411,4 +404,4 @@ def test_solve_plan_fits_its_data(spark, db, request, name):
         for node, _ in _plan_nodes(df)
         if node.nodeName() == "InMemoryTableScan"
     }
-    assert len(cached) == 2
+    assert len(cached) == 1
