@@ -14,7 +14,8 @@ solves; its row holds the median of each of ``res.timings``' ``phase1_total``,
 
 ``--src`` imports ``repro`` from another source tree (default: this
 checkout's ``src``), so row sets of two versions can be measured with the
-same script. A run replaces the file's rows that carry its ``--label`` and
+same script, as long as neither starts a Python worker: only the driver
+imports it. A run replaces the file's rows that carry its ``--label`` and
 keeps the others. The Spark session has the test session's settings
 (``conftest.py``): 64 shuffle partitions, Arrow on, automatic broadcast joins
 off. The script holds no pytest test, so ``pytest benchmarks/`` skips it.
@@ -47,13 +48,8 @@ ABOUT = (
 )
 
 
-def start_spark(src: Path):
-    """A local session with the test session's settings; the Python workers
-    import ``repro`` from ``src``."""
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-    )
-    os.environ["PYSPARK_PYTHON"] = sys.executable
+def start_spark():
+    """A local session with the test session's settings."""
     os.environ["PYSPARK_SUBMIT_ARGS"] = (
         f"--master local[*] "
         f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '4g')} "
@@ -93,7 +89,6 @@ def time_cell(spark, method: str, ccs_flavor: str, scale: int) -> dict:
             method=method, seed=ex.SEED,
         )
         runs.append(res.timings)
-        res.r1_hat.unpersist()
     timed = runs[1:]
     row = {
         "cell": f"{method}-{ccs_flavor}-{scale}x",
@@ -118,9 +113,8 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree to import repro from")
     args = ap.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    spark = start_spark(src)
+    sys.path.insert(0, str(args.src.resolve()))
+    spark = start_spark()
     try:
         env = {"cores": spark.sparkContext.defaultParallelism, "mem_gb": mem_total_gb()}
         rows = []

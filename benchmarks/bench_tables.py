@@ -7,7 +7,7 @@ guarantees must hold while timing: every hybrid cell has DC error 0
 (Prop 5.5) and median CC error 0 (Prop 4.7; median on intersecting sets),
 and on non-intersecting (good) CC sets the ILP never runs. One untimed
 solve runs before the first cell, so no cell's time includes the session's
-warm-up (the JVM's first query plans, the first Python workers).
+warm-up (the JVM's first query plans and code generation).
 """
 import pytest
 

@@ -14,8 +14,9 @@ assignment to concrete tuples is a single distributed pass:
 
 The mapping and the ranges are built on the driver and hold one row per
 bin or per allocation row, so both joins are broadcast; only R1 is
-shuffled (for the window). V_Join is not cached: phase II reads it once,
-invalid tuples included, in the cogroup that builds ``R̂1``.
+shuffled (for the window). Both carry explicit schemas, so an empty R1
+(no bins, no allocation rows) gives an empty V_Join. V_Join is not cached:
+phase II collects it once, invalid tuples included, to build ``R̂1``.
 
 Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
 draws are capped at a bin's availability and the leftovers are filled), and
@@ -28,6 +29,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from .binning import Binning, Combos
 from .hybrid import INVALID_COMBO
@@ -56,7 +58,8 @@ def materialize_vjoin(
     tuples phase I explicitly marked invalid.
     """
     if binning.attrs:
-        map_df = F.broadcast(spark.createDataFrame(binning.mapping))
+        fields = [*(r1_df.schema[c] for c in binning.attrs), StructField("bin_id", LongType())]
+        map_df = F.broadcast(spark.createDataFrame(binning.mapping, StructType(fields)))
         tagged = r1_df.join(map_df, on=binning.attrs, how="left")
     else:  # no binnable attributes: a single bin holds everything
         tagged = r1_df.withColumn("bin_id", F.lit(0).cast("long"))

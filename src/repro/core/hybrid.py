@@ -139,7 +139,7 @@ def fill_leftovers(
 
 
 def _to_frame(rows: list[tuple[int, int, int]]) -> pd.DataFrame:
-    pdf = pd.DataFrame(rows, columns=["bin_id", "combo_id", "count"])
+    pdf = pd.DataFrame(rows, columns=["bin_id", "combo_id", "count"], dtype=np.int64)
     if len(pdf):
         pdf = (
             pdf.groupby(["bin_id", "combo_id"], as_index=False)["count"]

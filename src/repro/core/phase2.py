@@ -2,45 +2,36 @@
 
 The paper's key optimization (§5.2) — partitioning V_Join and R2 by the
 assigned B-values, since candidate FK sets are disjoint across partitions —
-runs inside one Spark cogroup:
-``vjoin.groupBy(bucket).cogroup(r2.groupBy(bucket)).applyInPandas(...)``
-over a constant bucket, so each task makes one Python call, and Spark's
-grouped-map round trip and the DC predicates are paid once per task rather
-than once per combo. That call sorts its rows by ``combo_id`` and ``p_id``,
-so its keys do not depend on the order in which Spark delivers them, and
-takes its combos in ``combo_id`` order. The coloring builds one type
-conflict matrix over all its rows (:func:`.conflict.type_conflicts`); each
-combo then builds its conflict hypergraph (a dense boolean matrix over its
-tuples, gathered from the type matrix) and runs the largest-first list
-coloring on it, exactly as it would on its own frames.
+runs on the driver, as the paper's own implementation does: V_Join's rows
+and R2's ``(key, combo_id)`` pairs are collected, and one Python call walks
+the combos in ``combo_id`` order. That call sorts its rows by ``combo_id``
+and ``p_id``, so its keys do not depend on the order in which Spark
+delivers them. The coloring builds one type conflict matrix over all the
+rows (:func:`.conflict.type_conflicts`); each combo then builds its
+conflict hypergraph (a dense boolean matrix over its tuples, gathered from
+the type matrix) and runs the largest-first list coloring on it, exactly
+as it would on its own frames.
 
 The coloring's candidate list is the partition's R2 keys followed by its
-fresh keys: each partition reserves, on the driver, a range of as many
-fresh keys as it has tuples in phase I's allocation table, and the
-coloring never leaves that range, so fresh keys are globally unique
-without coordination.
+fresh keys: each partition reserves a range of as many fresh keys as it has
+tuples in phase I's allocation table, and the coloring never leaves that
+range, so fresh keys are globally unique.
 
 Invalid tuples (no B-assignment possible in phase I) go through the same
-task: each gets a fresh household of its own (the paper's
+call: each gets a fresh household of its own (the paper's
 ``solveInvalidTuples``), keyed in ``(bin_id, p_id)`` order after the last
 partition's range. The household takes the combo that minimises the CC
-error its tuple adds, which depends on the bin alone, so the driver gives
-each bin of invalid tuples a key range and a combo from the allocation's
-per-bin counts.
+error its tuple adds, which depends on the bin alone, so each bin of
+invalid tuples gets a key range and a combo from the allocation's per-bin
+counts.
 
-The task returns its V_Join rows as ``R̂1`` rows: ``bin_id`` and
-``combo_id`` dropped, the FK added; V_Join carries every R1 column, so the
-cogroup's output is ``R̂1``. The coloring runs once, in the single action
-that materialises the persisted ``R̂1``, the scan of its fresh keys; one
+The call returns its V_Join rows as ``R̂1`` rows (``bin_id`` and
+``combo_id`` dropped, the FK added), and ``R̂1`` is a DataFrame over those
+driver-built rows, so no later read runs the fill or phase II again. One
 table of fresh-key ranges, one per partition and one per bin of invalid
 tuples, gives each fresh household its combo, and the household copies its
 other columns from R2's smallest-key row, which the pipeline's R2
-aggregation already yields. ``R̂1`` is cached hash-partitioned on ``p_id``
-into ``defaultParallelism`` partitions. The exchange also keeps the cogroup
-from being the cached plan's final stage, whose partitioning adaptive
-execution may not change: there the cogroup would run as all its shuffle
-partitions over several Python workers, while behind the exchange its small
-input is coalesced into one task.
+aggregation already yields.
 """
 from __future__ import annotations
 
@@ -67,18 +58,16 @@ def _key_bases(sizes: dict[int, int], max_key: int) -> dict[int, int]:
 
 
 def _task_fn(picker, bases: dict[int, int], r2_key: str, fk: str):
-    """The per-task function of both strategies: V_Join rows of one or more
+    """The combo walker of both strategies: V_Join rows of one or more
     combos in, the same rows as ``R̂1`` rows out (``bin_id``/``combo_id``
-    dropped, ``fk`` added). Invalid tuples take one key each from
-    ``bases[INVALID_COMBO]`` on, in ``(bin_id, p_id)`` order; the rows
-    ``idx`` of any other combo take the keys ``pick(combo_id, idx, keys,
-    base)`` chooses from the combo's sorted R2 ``keys`` and the ``base`` of
-    its reserved fresh-key range, where ``pick = picker(left)`` is built
-    once per task over all its sorted rows."""
+    dropped, ``fk`` added); ``key`` is not read. Invalid tuples take one key
+    each from ``bases[INVALID_COMBO]`` on, in ``(bin_id, p_id)`` order; the
+    rows ``idx`` of any other combo take the keys ``pick(combo_id, idx,
+    keys, base)`` chooses from the combo's sorted R2 ``keys`` and the
+    ``base`` of its reserved fresh-key range, where ``pick = picker(left)``
+    is built once per call over all its sorted rows."""
 
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if left.empty:
-            return pd.DataFrame()
         left = left.sort_values(["combo_id", "p_id"]).reset_index(drop=True)
         pick = picker(left)
         r2_keys = {c: sorted(k.tolist()) for c, k in right.groupby("combo_id")[r2_key]}
@@ -96,7 +85,7 @@ def _task_fn(picker, bases: dict[int, int], r2_key: str, fk: str):
 
 
 def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str, fk: str):
-    """Algorithm 4: one type matrix for all the task's rows, then each combo
+    """Algorithm 4: one type matrix for all the call's rows, then each combo
     colored as on its own frames."""
 
     def picker(left: pd.DataFrame):
@@ -178,7 +167,7 @@ def complete_fk(
     fk: str = "h_id",
     seed: int = 0,
 ) -> tuple[DataFrame, DataFrame]:
-    """Run Algorithm 4. Returns (r1_hat, r2_hat); ``r1_hat`` is persisted.
+    """Run Algorithm 4 on the driver. Returns (r1_hat, r2_hat).
 
     ``vjoin_df`` must carry ``p_id``, then the other R1 columns, then
     ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for invalid
@@ -209,24 +198,15 @@ def complete_fk(
         if strategy == "coloring"
         else _random_fn(seed, bases, r2_key, fk)
     )
-    rows = vjoin_df.drop("bin_id", "combo_id")
+    left = vjoin_df.toPandas()
+    right = r2_with_combo.select(r2_key, "combo_id").toPandas()
+    out = fn((), left, right).rename(columns={"p_id": r1_key})
+    rows = vjoin_df.drop("bin_id", "combo_id").withColumnRenamed("p_id", r1_key)
     schema = rows.withColumn(fk, F.lit(None).cast("long")).schema  # nullable FK
-    # one group per task: the function walks its combos itself
-    bucket = F.lit(0).alias("bucket")
-    r1_hat = (
-        vjoin_df.groupBy(bucket)
-        .cogroup(r2_with_combo.groupBy(bucket))
-        .applyInPandas(fn, schema)
-    )
-    if r1_key != "p_id":
-        r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
-    r1_hat = r1_hat.repartition(spark.sparkContext.defaultParallelism, r1_key).persist()
+    r1_hat = spark.createDataFrame(out, schema)
 
-    # This scan fills the whole cache of r1_hat (a filter never reaches below
-    # a cached relation), so it is the one run of the coloring.
-    fresh = np.unique(
-        r1_hat.filter(F.col(fk) > max_key).select(fk).toPandas()[fk].to_numpy(np.int64)
-    )
+    keys = out[fk].to_numpy(np.int64)
+    fresh = np.unique(keys[keys > max_key])
     owner = owners[np.searchsorted(starts, fresh, "right") - 1]
     r2_hat = r2_df
     if len(fresh):

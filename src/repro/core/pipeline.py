@@ -6,17 +6,15 @@ smallest-key row, the template of fresh households), a driver-side
 phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
 allocation, Spark tags V_Join with it, R2's rows are matched to their
 combos through the broadcast combo map, and phase II completes the FKs,
-invalid tuples included, in one Spark pass that reads V_Join once and
-builds ``R̂1`` from its rows (R1's key, R1's other columns in R1's order,
-the FK), persists and materialises it; fresh households for ``R̂2`` are
-read back from the cached ``R̂1``. Phase II takes the allocation table
-itself: both phase-I strategies allocate every tuple of every bin, so its
-per-combo and per-bin sums are V_Join's row counts, and they fix the
-fresh-key ranges without a Spark job to count them. The result is ``R̂1``
-plus the (possibly augmented) ``R̂2``. Only ``r1_hat`` is cached, at one
-partition per core (``defaultParallelism``) so that later reads of it do
-not fan out to the session's shuffle partitions; unpersisting it releases
-everything a solve cached. The lookup tables built on the driver are
+invalid tuples included, on the driver: it collects V_Join and R2's
+``(key, combo_id)`` pairs once and builds ``R̂1`` from V_Join's rows (R1's
+key, R1's other columns in R1's order, the FK), and the fresh households
+of ``R̂2`` from the fresh keys it handed out. Phase II takes the
+allocation table itself: both phase-I strategies allocate every tuple of
+every bin, so its per-combo and per-bin sums are V_Join's row counts, and
+they fix the fresh-key ranges without a Spark job to count them. The
+result is ``R̂1`` plus the (possibly augmented) ``R̂2``; a solve caches
+nothing and runs no Python UDF. The lookup tables built on the driver are
 broadcast by per-query hints; the solver reads and writes no session
 setting.
 

@@ -119,7 +119,7 @@ def run_cell(spark: SparkSession, db: census.CensusDB, ccs, dcs, method: str) ->
     )
     rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
     s = metrics.cc_error_summary(rep)
-    out = {
+    return {
         "method": method,
         "cc_median": s["median"],
         "cc_mean": round(s["mean"], 4),
@@ -132,8 +132,6 @@ def run_cell(spark: SparkSession, db: census.CensusDB, ccs, dcs, method: str) ->
         "total_s": round(res.timings["total"], 3),
         "n_persons": len(db.persons),
     }
-    res.r1_hat.unpersist()
-    return out
 
 
 def run_table1(scales=(1, 2, 5, 10, 40, 80, 120, 160), shrink=SHRINK) -> pd.DataFrame:

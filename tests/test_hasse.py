@@ -261,7 +261,6 @@ def test_alg2_overconstrained_child_is_met_and_parent_capped(spark, db, dcs_all)
     assert rep.loc[0, "achieved"] == 8 and rep.loc[0, "rel_err"] == 0.3
     assert rep.loc[1, "achieved"] == 8
     assert metrics.dc_error(solved.r1_hat, dcs_all) == 0.0
-    solved.r1_hat.unpersist()
 
 
 def test_alg2_respects_avail_mutation():

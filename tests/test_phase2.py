@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.accumulators import AddingAccumulatorParam
 from pyspark.sql import functions as F
 
 from repro import census, workloads
@@ -116,7 +115,7 @@ def test_baseline_typically_violates_dcs(solved_baseline, dcs_all):
     assert metrics.dc_error(solved_baseline.r1_hat, dcs_all) > 0.0
 
 
-# -- phase II runs once, deterministically, and caches only what it returns --
+# -- phase II runs once, deterministically, and caches nothing --
 
 
 def _sorted(pdf: pd.DataFrame, key: str = "p_id") -> pd.DataFrame:
@@ -127,14 +126,8 @@ def _persistent_rdds(spark) -> set[int]:
     return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
 
 
-def _release(res) -> None:
-    res.r1_hat.unpersist()
-
-
 def _own_instance(spark, seed: int):
-    """A database no other test solves: Spark shares the cache of plans with
-    the same result, so a solve of another test's inputs would reuse (and,
-    when released, drop) that test's cached R̂1."""
+    """A small database of its own, generated from ``seed``, with good CCs."""
     db = census.generate(scale=1.0, shrink=0.01, seed=seed)
     ccs = workloads.make_cc_good(db, n_cc=60, seed=0)
     return db.spark_r1(spark), db.spark_r2(spark), ccs
@@ -182,71 +175,60 @@ def test_output_independent_of_input_order(spark, db, ccs_good, dcs_all, method,
     r1 = db.spark_r1(spark).orderBy(F.rand(3)).repartition(7)
     r2 = db.spark_r2(spark).orderBy(F.rand(4)).repartition(7)
     res = c_extension(spark, r1, r2, ccs_good, dcs_all, method=method, seed=0)
-    try:
-        for name, key in (("r1_hat", "p_id"), ("r2_hat", "h_id")):
-            got, want = getattr(res, name).toPandas(), getattr(ref, name).toPandas()
-            pd.testing.assert_frame_equal(_sorted(got, key), _sorted(want, key))
-    finally:
-        _release(res)
+    for name, key in (("r1_hat", "p_id"), ("r2_hat", "h_id")):
+        got, want = getattr(res, name).toPandas(), getattr(ref, name).toPandas()
+        pd.testing.assert_frame_equal(_sorted(got, key), _sorted(want, key))
 
 
 def test_coloring_runs_once_per_partition(spark, dcs_all, monkeypatch):
-    """The per-task function runs once per solve and colors each non-empty
+    """The combo walker runs once per solve and colors each non-empty
     combo partition exactly once (each from its own fresh-key base), and
     reading R̂1 and R̂2 afterwards runs neither again."""
-    tasks = spark.sparkContext.accumulator(0)
-    # fresh-key bases of the colorings; a tuple sums by concatenation
-    bases = spark.sparkContext.accumulator((), AddingAccumulatorParam(()))
+    calls, bases = [], []  # walker calls; fresh-key bases of the colorings
     make_fn, color = phase2._coloring_fn, phase2.color_with_extension
 
     def counting_coloring_fn(*args):
         fn = make_fn(*args)
 
         def counted(key, left, right):
-            if not left.empty:
-                tasks.add(1)
+            calls.append(len(left))
             return fn(key, left, right)
 
         return counted
 
     def counting_color(graph, colors, fresh_start):
-        bases.add((fresh_start,))
+        bases.append(fresh_start)
         return color(graph, colors, fresh_start)
 
     monkeypatch.setattr(phase2, "_coloring_fn", counting_coloring_fn)
     monkeypatch.setattr(phase2, "color_with_extension", counting_color)
     r1, r2, ccs = _own_instance(spark, seed=31)
     res = c_extension(spark, r1, r2, ccs, dcs_all, method="hybrid", seed=0)
-    try:
-        partitions = (
-            res.vjoin.filter(F.col("combo_id") != INVALID_COMBO)
-            .select("combo_id").distinct().count()
-        )
-        assert partitions > 1
-        assert tasks.value == 1
-        assert len(bases.value) == len(set(bases.value)) == partitions
-        res.r1_hat.count()
-        res.r2_hat.count()
-        assert tasks.value == 1
-        assert len(bases.value) == partitions
-    finally:
-        _release(res)
+    partitions = (
+        res.vjoin.filter(F.col("combo_id") != INVALID_COMBO)
+        .select("combo_id").distinct().count()
+    )
+    assert partitions > 1
+    assert len(calls) == 1
+    assert len(bases) == len(set(bases)) == partitions
+    res.r1_hat.count()
+    res.r2_hat.count()
+    assert len(calls) == 1
+    assert len(bases) == partitions
 
 
 @pytest.mark.parametrize("r1_key", ["p_id", "person"])
 def test_no_cached_data_left_behind(spark, dcs_all, r1_key):
-    """A solve caches R̂1 and nothing else; V_Join is read once, by phase
-    II, and not cached. ``r1_key != "p_id"`` is the path the snowflake
-    driver takes: the renamed R̂1 is what is cached."""
+    """A solve and reads of its outputs leave no persisted RDD: phase II
+    collects V_Join once and R̂1 is built from the rows it returns.
+    ``r1_key != "p_id"`` is the path the snowflake driver takes."""
     r1, r2, ccs = _own_instance(spark, seed=32 if r1_key == "p_id" else 33)
     r1 = r1.withColumnRenamed("p_id", r1_key)
     before = _persistent_rdds(spark)
     res = c_extension(spark, r1, r2, ccs, dcs_all, r1_key=r1_key, seed=0)
     res.r2_hat.count()
-    assert len(_persistent_rdds(spark) - before) == 1
     assert r1_key in res.r1_hat.columns
     assert res.r1_hat.filter(F.col("h_id").isNull()).count() == 0
-    _release(res)
     assert _persistent_rdds(spark) == before
 
 
@@ -267,7 +249,6 @@ def test_no_active_columns_fresh_households(spark, running_example):
     r1_hat = res.r1_hat.toPandas()
     assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
     assert r1_hat.loc[r1_hat["Rel"] == "Owner", "h_id"].is_unique
-    _release(res)
     assert _persistent_rdds(spark) == before
 
 
@@ -282,19 +263,16 @@ def test_empty_r2_every_tuple_gets_a_fresh_household(spark, dcs_all):
         CC(1, Cond.of(Age=(0, 17)), Cond.of(), int((persons["Age"] <= 17).sum())),
     ]
     res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, seed=0)
-    try:
-        assert res.phase1.alloc["count"].sum() == len(persons)
-        assert (res.phase1.alloc["combo_id"] != INVALID_COMBO).all()
-        r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
-        assert len(r1_hat) == len(persons)
-        assert r1_hat["h_id"].notna().all()
-        assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
-        assert r2_hat["h_id"].is_unique
-        assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-        rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
-        assert metrics.cc_error_summary(rep)["max"] == 0.0
-    finally:
-        _release(res)
+    assert res.phase1.alloc["count"].sum() == len(persons)
+    assert (res.phase1.alloc["combo_id"] != INVALID_COMBO).all()
+    r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
+    assert len(r1_hat) == len(persons)
+    assert r1_hat["h_id"].notna().all()
+    assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
+    assert r2_hat["h_id"].is_unique
+    assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
+    rep = metrics.cc_report(res.r1_hat, res.r2_hat, ccs)
+    assert metrics.cc_error_summary(rep)["max"] == 0.0
 
 
 @pytest.mark.parametrize("method", ["baseline", "baseline_marginals"])
@@ -310,16 +288,13 @@ def test_empty_r2_baselines_give_every_tuple_a_fresh_household(spark, dcs_all, m
         CC(1, Cond.of(Age=(0, 17)), Cond.of(), int((persons["Age"] <= 17).sum())),
     ]
     res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, method=method, seed=0)
-    try:
-        assert res.phase1.alloc["count"].sum() == len(persons)
-        r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
-        assert len(r1_hat) == len(persons)
-        assert r1_hat["h_id"].notna().all()
-        assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
-        assert r2_hat["h_id"].is_unique
-        assert len(r2_hat) == len(persons)
-    finally:
-        _release(res)
+    assert res.phase1.alloc["count"].sum() == len(persons)
+    r1_hat, r2_hat = res.r1_hat.toPandas(), res.r2_hat.toPandas()
+    assert len(r1_hat) == len(persons)
+    assert r1_hat["h_id"].notna().all()
+    assert set(r1_hat["h_id"]) <= set(r2_hat["h_id"])
+    assert r2_hat["h_id"].is_unique
+    assert len(r2_hat) == len(persons)
 
 
 def _invalid_instance(spark):
@@ -356,34 +331,31 @@ def test_invalid_tuples_get_their_own_fresh_households(spark, dcs_all):
     db, owned, ccs = _invalid_instance(spark)
     r2 = spark.createDataFrame(owned)
     res = c_extension(spark, db.spark_r1(spark), r2, ccs, dcs_all, seed=0)
-    try:
-        assert len(res.combos) == 1
-        assert res.phase1.n_invalid > 0
-        r1_hat = _sorted(res.r1_hat.toPandas())
-        r2_hat = res.r2_hat.toPandas().set_index("h_id")
-        r1 = _sorted(db.persons_missing_fk())
-        pd.testing.assert_frame_equal(r1_hat.drop(columns="h_id"), r1)
+    assert len(res.combos) == 1
+    assert res.phase1.n_invalid > 0
+    r1_hat = _sorted(res.r1_hat.toPandas())
+    r2_hat = res.r2_hat.toPandas().set_index("h_id")
+    r1 = _sorted(db.persons_missing_fk())
+    pd.testing.assert_frame_equal(r1_hat.drop(columns="h_id"), r1)
 
-        invalid = (
-            res.vjoin.filter(F.col("combo_id") == INVALID_COMBO)
-            .select("p_id", "bin_id")
-            .toPandas()
-        )
-        assert len(invalid) == res.phase1.n_invalid
-        fresh_start = int(owned["h_id"].max()) + 1 + len(r1) - len(invalid)
-        ranges = solve_invalid_tuples(
-            invalid.groupby("bin_id").size(), ccs, res.binning, res.combos, fresh_start
-        )
-        want = _invalid_keys(invalid, ranges)
-        got = r1_hat.set_index("p_id").loc[want["p_id"], "h_id"].to_numpy()
-        assert (got == want["h_id"].to_numpy()).all()
-        assert (got == fresh_start + np.arange(len(invalid))).all()
-        assert (r1_hat["h_id"].value_counts()[got] == 1).all()
-        combo = res.combos.table.set_index("combo_id").loc[want["combo_id"]]
-        assert (r2_hat.loc[got, "Tenure"].to_numpy() == combo["Tenure"].to_numpy()).all()
-        assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-    finally:
-        _release(res)
+    invalid = (
+        res.vjoin.filter(F.col("combo_id") == INVALID_COMBO)
+        .select("p_id", "bin_id")
+        .toPandas()
+    )
+    assert len(invalid) == res.phase1.n_invalid
+    fresh_start = int(owned["h_id"].max()) + 1 + len(r1) - len(invalid)
+    ranges = solve_invalid_tuples(
+        invalid.groupby("bin_id").size(), ccs, res.binning, res.combos, fresh_start
+    )
+    want = _invalid_keys(invalid, ranges)
+    got = r1_hat.set_index("p_id").loc[want["p_id"], "h_id"].to_numpy()
+    assert (got == want["h_id"].to_numpy()).all()
+    assert (got == fresh_start + np.arange(len(invalid))).all()
+    assert (r1_hat["h_id"].value_counts()[got] == 1).all()
+    combo = res.combos.table.set_index("combo_id").loc[want["combo_id"]]
+    assert (r2_hat.loc[got, "Tenure"].to_numpy() == combo["Tenure"].to_numpy()).all()
+    assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
 
 
 def test_invalid_tuples_independent_of_input_order(spark, dcs_all):
@@ -399,21 +371,19 @@ def test_invalid_tuples_independent_of_input_order(spark, dcs_all):
         ),
     ):
         res = c_extension(spark, r1, r2, ccs, dcs_all, seed=0)
-        try:
-            assert res.phase1.n_invalid > 0
-            got.append(
-                (_sorted(res.r1_hat.toPandas()), _sorted(res.r2_hat.toPandas(), "h_id"))
-            )
-        finally:
-            _release(res)
+        assert res.phase1.n_invalid > 0
+        got.append(
+            (_sorted(res.r1_hat.toPandas()), _sorted(res.r2_hat.toPandas(), "h_id"))
+        )
     for a, b in zip(*got):
         pd.testing.assert_frame_equal(a, b)
 
 
 @pytest.mark.parametrize("invalid", [False, True])
 def test_complete_fk_runs_one_action(spark, dcs_all, monkeypatch, invalid):
-    """With or without invalid tuples, phase II runs one Spark action: the
-    scan of R̂1's fresh keys (actions inside another action not counted)."""
+    """With or without invalid tuples, phase II runs two Spark actions, the
+    collects of V_Join and of R2's (key, combo) pairs, and nothing else
+    (actions inside another action not counted)."""
     actions, depth = [], [0]
     frame = type(spark.range(0))
 
@@ -449,11 +419,8 @@ def test_complete_fk_runs_one_action(spark, dcs_all, monkeypatch, invalid):
     else:
         r1, r2, ccs = _own_instance(spark, seed=37)
     res = c_extension(spark, r1, r2, ccs, dcs_all, seed=0)
-    try:
-        assert (res.phase1.n_invalid > 0) == invalid
-        assert actions == ["toPandas"]
-    finally:
-        _release(res)
+    assert (res.phase1.n_invalid > 0) == invalid
+    assert actions == ["toPandas", "toPandas"]
 
 
 def _solve_invalid_rowwise(invalid_pdf, ccs, binning, combos, fresh_start):

@@ -5,15 +5,13 @@
 * baselines: reproduce the paper's failure modes.
 * the running example (Figures 1–3) solves exactly.
 """
-import re
-
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro import census, workloads
-from repro.core import metrics
+from repro.core import metrics, pipeline
 from repro.core.constraints import CC, Cond
 from repro.core.pipeline import METHODS, c_extension
 
@@ -108,7 +106,6 @@ def test_unread_r1_column_with_nulls_is_not_binned(spark, db, ccs_good, dcs_all)
     assert got["h_id"].notna().all()
     assert (got["Note"].isna() == (got["p_id"] % 3 != 0)).all()
     assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-    res.r1_hat.unpersist()
 
 
 def test_invalid_method_rejected(spark, db, ccs_good, dcs_all):
@@ -226,7 +223,6 @@ def test_null_r2_values_keep_their_households(spark, db, dcs_all, method):
             assert old["used"].all(), f"combo {cid}: fresh household minted"
     if method == "hybrid":
         assert metrics.dc_error(res.r1_hat, dcs_all) == 0.0
-    res.r1_hat.unpersist()
 
 
 def test_unmet_cc_target_finishes_with_shortfall(spark, db, dcs_all):
@@ -249,26 +245,19 @@ def test_unmet_cc_target_finishes_with_shortfall(spark, db, dcs_all):
     fk = res.r1_hat.select("h_id").toPandas()["h_id"]
     assert fk.notna().all()
     assert set(fk) <= set(res.r2_hat.select("h_id").toPandas()["h_id"])
-    res.r1_hat.unpersist()
 
 
-def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
-    """Dropping the cached R̂1 makes Spark run the fill and phase II again
-    on the next read: the FKs stay identical."""
-    res = c_extension(
-        spark, db.spark_r1(spark), db.spark_r2(spark), ccs_good, dcs_all,
-        method="hybrid", seed=0,
-    )
+def test_two_reads_give_the_same_fks(solved):
+    """R̂1 holds the rows phase II returned, so a second read gives the same
+    (key, FK) pairs, each FK a key of R̂2."""
 
     def pairs():
-        return sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
+        return sorted(map(tuple, solved.r1_hat.select("p_id", "h_id").collect()))
 
     first = pairs()
-    res.r1_hat.unpersist(blocking=True)
-    assert not res.r1_hat.is_cached
     again = pairs()
     assert again == first
-    keys = set(res.r2_hat.select("h_id").toPandas()["h_id"])
+    keys = set(solved.r2_hat.select("h_id").toPandas()["h_id"])
     assert all(h in keys for _, h in again)
 
 
@@ -276,9 +265,8 @@ def test_recomputed_stages_give_the_same_fks(spark, db, ccs_good, dcs_all):
 def test_outputs_do_not_depend_on_shuffle_partitions(
     spark, db, ccs_good, dcs_all, method
 ):
-    """R̂1 is cached at one partition per core whatever the session's
-    shuffle fan-out; the FKs and the fresh households must not change with
-    it."""
+    """The FKs and the fresh households do not change with the session's
+    shuffle fan-out."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
     got = []
@@ -292,7 +280,6 @@ def test_outputs_do_not_depend_on_shuffle_partitions(
             pairs = sorted(map(tuple, res.r1_hat.select("p_id", "h_id").collect()))
             r2 = sorted(map(tuple, res.r2_hat.collect()), key=str)
             got.append((pairs, r2))
-            res.r1_hat.unpersist()
     finally:
         spark.conf.set(key, old)
     assert got[0] == got[1]
@@ -314,17 +301,26 @@ def test_r1_hat_schema_is_r1_plus_fk(spark, dcs_all, r1_key):
     r1 = db.spark_r1(spark).withColumnRenamed("p_id", r1_key)
     r1 = r1.select("Rel", "Multi_ling", r1_key, "Age")
     res = c_extension(spark, r1, db.spark_r2(spark), ccs, dcs_all, r1_key=r1_key, seed=0)
-    try:
-        assert res.r1_hat.schema == _r1_plus_fk(r1, r1_key)
-    finally:
-        res.r1_hat.unpersist()
+    assert res.r1_hat.schema == _r1_plus_fk(r1, r1_key)
+
+
+@pytest.mark.parametrize("method", ["hybrid", "baseline"])
+def test_empty_r1_gives_empty_r1_hat(spark, db, ccs_good, dcs_all, method):
+    """An empty R1 has no bins: the solve returns an empty R̂1 with R1's
+    schema plus the FK, and R̂2 is R2 unchanged."""
+    r1, r2 = db.spark_r1(spark).limit(0), db.spark_r2(spark)
+    res = c_extension(spark, r1, r2, ccs_good, dcs_all, method=method, seed=0)
+    assert res.r1_hat.schema == _r1_plus_fk(r1, "p_id")
+    assert res.r1_hat.count() == 0
+    assert res.r2_hat.schema == r2.schema
+    got = res.r2_hat.toPandas().sort_values("h_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, db.housing.sort_values("h_id").reset_index(drop=True))
 
 
 def _plan_nodes(df) -> list[tuple[object, tuple]]:
     """(operator, its ancestors nearest first) for every physical operator
     of ``df``'s executed plan, looking through adaptive plans, query stages
-    and codegen wrappers and into the plans of the cached relations it
-    reads."""
+    and codegen wrappers."""
     out, todo = [], [(df._jdf.queryExecution().executedPlan(), ())]
     while todo:
         node, up = todo.pop()
@@ -339,8 +335,6 @@ def _plan_nodes(df) -> list[tuple[object, tuple]]:
             todo.append((node.child(), up))
             continue
         out.append((node, up))
-        if name == "InMemoryTableScan":
-            todo.append((node.relation().cachedPlan(), (node, *up)))
         todo.extend((kid, (node, *up)) for kid in _seq(node.children()))
     return out
 
@@ -349,59 +343,57 @@ def _seq(s) -> list:
     return [s.apply(i) for i in range(s.size())]
 
 
-@pytest.mark.parametrize("name", ["solved", "solved_baseline"])
-def test_solve_plan_fits_its_data(spark, db, request, name):
-    """The cached R̂1 holds one partition per core, the driver-built
-    lookup tables (bin map, allocation ranges, combo map) are broadcast,
-    and R̂1 is the one cached relation. R̂1 is the cogroup's output itself:
-    no join rebuilds it, and its one hash exchange on ``p_id`` keeps the
-    cogroup from being the cached plan's final stage, so adaptive execution
-    still coalesces the cogroup's inputs into one task."""
-    res = request.getfixturevalue(name)
-    cores = spark.sparkContext.defaultParallelism
-    assert res.r1_hat.rdd.getNumPartitions() <= cores
-    assert res.r1_hat.schema == _r1_plus_fk(db.spark_r1(spark), "p_id")
+def _names(df) -> list[str]:
+    return [node.nodeName() for node, _ in _plan_nodes(df)]
 
-    nodes = _plan_nodes(res.r1_hat)
-    names = [node.nodeName() for node, _ in nodes]
-    assert "SortMergeJoin" not in names
-    on_p_id = [
-        m.group(1)
-        for node, _ in nodes
-        if node.nodeName() == "Exchange"
-        and (m := re.fullmatch(r"hashpartitioning\(p_id#\d+L?, (\d+)\)",
-                               node.outputPartitioning().toString()))
-    ]
-    assert on_p_id == [str(cores)]
-    cogroup_reads = []
-    for node, up in nodes:
-        above = [a.nodeName() for a in up]
-        if node.nodeName() == "AQEShuffleRead" and "FlatMapCoGroupsInPandas" in above:
-            below_cogroup = above[: above.index("FlatMapCoGroupsInPandas")]
-            if not {"Exchange", "InMemoryTableScan"} & set(below_cogroup):
-                cogroup_reads.append(node)
-    assert len(cogroup_reads) == 2
-    assert all(read.isCoalescedRead() for read in cogroup_reads)
 
-    # R1 rows carry p_id and R2 rows h_id; a leaf with neither is a lookup table
-    lookups = {}
-    for node, up in _plan_nodes(res.r1_hat):
+def _lookups(df) -> dict[frozenset, list[str]]:
+    """The columns of each leaf of ``df``'s plan that is a driver-built
+    lookup table (R1 rows carry ``p_id`` and R2 rows ``h_id``), mapped to
+    its two nearest ancestors."""
+    out = {}
+    for node, up in _plan_nodes(df):
         cols = frozenset(a.name() for a in _seq(node.output()))
         if node.children().isEmpty() and not {"p_id", "h_id"} & cols:
-            lookups[cols] = [a.nodeName() for a in up[:2]]
-    assert set(lookups) == {
+            out[cols] = [a.nodeName() for a in up[:2]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "method", [pytest.param("hybrid", id="solved"), pytest.param("baseline", id="solved_baseline")]
+)
+def test_solve_plan_fits_its_data(spark, db, ccs_good, dcs_all, monkeypatch, method):
+    """No executed plan of V_Join, R̂1 or R̂2 holds a Python node or reads a
+    cached relation: phase II runs on the driver, and R̂1 is a scan of the
+    rows it returned, at most one partition per core. The driver-built lookup tables are broadcast:
+    the bin map and the allocation ranges in V_Join's plan, the combo map
+    in the plan that matches R2's rows to their combos."""
+    seen, complete_fk = {}, pipeline.complete_fk
+
+    def spy(spark, vjoin_df, r2_with_combo, *a, **k):
+        seen["r2_with_combo"] = r2_with_combo
+        return complete_fk(spark, vjoin_df, r2_with_combo, *a, **k)
+
+    monkeypatch.setattr(pipeline, "complete_fk", spy)
+    res = c_extension(
+        spark, db.spark_r1(spark), db.spark_r2(spark), ccs_good, dcs_all,
+        method=method, seed=0,
+    )
+    res.r2_hat.count()
+    assert res.r1_hat.schema == _r1_plus_fk(db.spark_r1(spark), "p_id")
+    assert res.r1_hat.rdd.getNumPartitions() <= spark.sparkContext.defaultParallelism
+    for df in (res.vjoin, res.r1_hat, res.r2_hat):
+        names = _names(df)
+        assert not [n for n in names if "Python" in n or "InPandas" in n]
+        assert "InMemoryTableScan" not in names
+    assert not [n for n in _names(res.r1_hat) if "Join" in n or "Exchange" in n]
+
+    in_vjoin, in_r2 = _lookups(res.vjoin), _lookups(seen["r2_with_combo"])
+    assert set(in_vjoin) == {
         frozenset({"bin_id", *res.binning.attrs}),
         frozenset({"bin_id", "combo_id", "start", "end"}),
-        frozenset({"combo_id", *res.combos.active_cols}),
     }
-    for exchange, join in lookups.values():
+    assert set(in_r2) == {frozenset({"combo_id", *res.combos.active_cols})}
+    for exchange, join in [*in_vjoin.values(), *in_r2.values()]:
         assert exchange == "BroadcastExchange"
         assert join.startswith("Broadcast") and join.endswith("Join")
-
-    cached = {
-        spark._jvm.System.identityHashCode(node.relation().cacheBuilder())
-        for df in (res.r1_hat, res.r2_hat)
-        for node, _ in _plan_nodes(df)
-        if node.nodeName() == "InMemoryTableScan"
-    }
-    assert len(cached) == 1

@@ -269,7 +269,7 @@ def task_frames(draw):
 @given(task_frames(), typed_dcs, st.sampled_from(["coloring", "random"]))
 @settings(max_examples=100, deadline=None)
 def test_task_fn_equals_its_per_combo_calls(frames, dc_list, strategy):
-    """The per-task function on a frame of several combos returns exactly
+    """The combo walker on a frame of several combos returns exactly
     its calls on each combo's own frames, concatenated by combo_id."""
     left, right = frames
     bases = {c: 100 + 20 * c for c in range(4)}
