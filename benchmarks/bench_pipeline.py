@@ -9,13 +9,15 @@ The grid is the experiments' ``SHRINK`` and ``SEED`` with ``S_DC_all`` and
 ``N_CC`` CCs: the hybrid on good CCs at 10×, 40× and 160×, the hybrid on bad
 CCs at 10×, and baseline+marginals on good CCs at 10× (the cell that runs the
 full ILP). Each cell runs one untimed warm-up solve, then ``REPEATS`` timed
-solves; its row holds the median of each of ``res.timings``' ``phase1_total``,
-``fill``, ``coloring`` and ``total``, with the core count and the RAM.
+solves; its row holds the median of each of ``res.timings``' ``read``,
+``phase1_total``, ``fill``, ``coloring`` and ``total`` (the first four split
+the last), with the core count and the RAM.
 
 ``--src`` imports ``repro`` from another source tree (default: this
 checkout's ``src``), so row sets of two versions can be measured with the
 same script, as long as neither starts a Python worker: only the driver
-imports it. A run replaces the file's rows that carry its ``--label`` and
+imports it. A split key the other tree's timings lack is left out of its
+rows. A run replaces the file's rows that carry its ``--label`` and
 keeps the others. The Spark session has the test session's settings
 (``conftest.py``): 64 shuffle partitions, Arrow on, automatic broadcast joins
 off. The script holds no pytest test, so ``pytest benchmarks/`` skips it.
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_pipeline.json"
 REPEATS = 3
-SPLIT = ("phase1_total", "fill", "coloring", "total")
+SPLIT = ("read", "phase1_total", "fill", "coloring", "total")
 #: (method, CC flavor, scale)
 CELLS = [
     ("hybrid", "good", 10),
@@ -102,7 +104,8 @@ def time_cell(spark, method: str, ccs_flavor: str, scale: int) -> dict:
         "runs": len(timed),
     }
     for k in SPLIT:
-        row[f"{k}_s"] = round(statistics.median(t[k] for t in timed), 3)
+        if k in timed[0]:
+            row[f"{k}_s"] = round(statistics.median(t[k] for t in timed), 3)
     row["total_s_runs"] = [round(t["total"], 3) for t in timed]
     return row
 

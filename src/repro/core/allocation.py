@@ -1,41 +1,36 @@
-"""Materialise a phase-I allocation into the completed V_Join (Spark).
+"""Materialise a phase-I allocation into the completed V_Join (driver).
 
 The driver-side phase-I algorithms produce ``(bin_id, combo_id, count)``
 rows. Because tuples within a bin are interchangeable for every CC, the
-assignment to concrete tuples is a single distributed pass:
+assignment to concrete tuples is one NumPy pass over R1's collected rows:
 
-1. tag every R1 tuple with its ``bin_id`` (join with the binning mapping);
-2. number tuples within each bin (window ``row_number`` ordered by key —
-   deterministic);
+1. tag every R1 tuple with its ``bin_id`` (merge with the binning mapping);
+2. rank tuples within each bin in ``p_id`` order (a lexsort — deterministic,
+   whatever order the rows arrived in);
 3. turn the allocation rows into per-bin ``[start, end)`` index ranges and
-   range-join them, yielding each tuple's ``combo_id``;
-4. select ``p_id``, R1's other columns in R1's order, ``bin_id`` and
-   ``combo_id``; phase II keeps this order in ``R̂1``.
+   find each tuple's range with one ``searchsorted`` of its ``(bin, rank)``
+   key over the ranges' ``(bin, start)`` keys, yielding its ``combo_id``;
+4. order the columns ``p_id``, R1's other columns in R1's order, ``bin_id``
+   and ``combo_id`` (:func:`vjoin_schema`); phase II keeps this order in
+   ``R̂1``.
 
-The mapping and the ranges are built on the driver and hold one row per
-bin or per allocation row, so both joins are broadcast; only R1 is
-shuffled (for the window). Both carry explicit schemas, so an empty R1
-(no bins, no allocation rows) gives an empty V_Join. V_Join is not cached:
-phase II collects it once, invalid tuples included, to build ``R̂1``.
-
-Both phase-I strategies allocate every tuple of every bin (Algorithm 1's
-draws are capped at a bin's availability and the leftovers are filled), and
-``c_extension`` rejects nulls in the bin columns, so no tuple falls outside
-the ranges; the two null-combo fills below are kept for the benchmark's
-tracer, which wraps them by name.
+A tuple outside every range keeps a null ``combo_id``. Both phase-I
+strategies allocate every tuple of every bin (Algorithm 1's draws are capped
+at a bin's availability and the leftovers are filled), and ``c_extension``
+rejects nulls in the bin columns, so no tuple of a solve falls outside the
+ranges; the two null-combo fills below, over the V_Join DataFrame, are kept
+for the benchmark's tracer, which wraps them by name.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from .binning import Binning, Combos
 from .hybrid import INVALID_COMBO
-
-
-_RANGES_SCHEMA = "bin_id long, combo_id long, start long, end long"
 
 
 def alloc_ranges(alloc: pd.DataFrame) -> pd.DataFrame:
@@ -46,37 +41,44 @@ def alloc_ranges(alloc: pd.DataFrame) -> pd.DataFrame:
     return pdf[["bin_id", "combo_id", "start", "end"]]
 
 
-def materialize_vjoin(
-    spark: SparkSession,
-    r1_df: DataFrame,
-    binning: Binning,
-    alloc: pd.DataFrame,
-) -> DataFrame:
-    """R1 ⟶ V_Join skeleton: every tuple tagged with bin_id and combo_id.
+def vjoin_schema(r1_schema: StructType) -> StructType:
+    """V_Join's columns: R1's fields with ``p_id`` first, then ``bin_id`` and
+    a nullable ``combo_id``."""
+    fields = [r1_schema["p_id"], *(f for f in r1_schema if f.name != "p_id")]
+    ids = [StructField("bin_id", LongType()), StructField("combo_id", LongType())]
+    return StructType([*fields, *ids])
 
-    ``combo_id`` is null for tuples with no allocation and INVALID_COMBO for
-    tuples phase I explicitly marked invalid.
+
+def materialize_vjoin(r1: pd.DataFrame, binning: Binning, alloc: pd.DataFrame) -> pd.DataFrame:
+    """R1's rows ⟶ V_Join's: every tuple tagged with bin_id and combo_id.
+
+    ``combo_id`` (nullable ``Int64``) is null for tuples with no allocation
+    and INVALID_COMBO for tuples phase I explicitly marked invalid. Rows keep
+    R1's order.
     """
     if binning.attrs:
-        fields = [*(r1_df.schema[c] for c in binning.attrs), StructField("bin_id", LongType())]
-        map_df = F.broadcast(spark.createDataFrame(binning.mapping, StructType(fields)))
-        tagged = r1_df.join(map_df, on=binning.attrs, how="left")
+        tagged = r1.merge(binning.mapping, on=binning.attrs, how="left")
     else:  # no binnable attributes: a single bin holds everything
-        tagged = r1_df.withColumn("bin_id", F.lit(0).cast("long"))
-    w = Window.partitionBy("bin_id").orderBy("p_id")
-    tagged = tagged.withColumn("__idx", F.row_number().over(w) - F.lit(1))
-    ranges = F.broadcast(spark.createDataFrame(alloc_ranges(alloc), _RANGES_SCHEMA))
-    vjoin = tagged.join(
-        ranges,
-        on=(
-            (tagged["bin_id"] == ranges["bin_id"])
-            & (tagged["__idx"] >= ranges["start"])
-            & (tagged["__idx"] < ranges["end"])
-        ),
-        how="left",
+        tagged = r1.assign(bin_id=np.int64(0))
+    bins = tagged["bin_id"].to_numpy(np.int64)
+    order = np.lexsort((tagged["p_id"].to_numpy(), bins))
+    rank = np.empty(len(bins), dtype=np.int64)
+    rank[order] = np.arange(len(bins)) - np.searchsorted(bins[order], bins[order])
+
+    ranges = alloc_ranges(alloc)
+    ranges = ranges[ranges["end"] > ranges["start"]]  # an empty range holds no rank
+    r_bin, r_start, r_end = (ranges[c].to_numpy(np.int64) for c in ("bin_id", "start", "end"))
+    width = max(len(bins), int(r_end.max(initial=0))) + 1  # (bin, rank) keys never collide
+    hit = np.searchsorted(r_bin * width + r_start, bins * width + rank, side="right") - 1
+    found = hit >= 0
+    found[found] = (r_bin[hit[found]] == bins[found]) & (rank[found] < r_end[hit[found]])
+    combo = np.zeros(len(bins), dtype=np.int64)
+    combo[found] = ranges["combo_id"].to_numpy(np.int64)[hit[found]]
+
+    r1_cols = [c for c in r1.columns if c != "p_id"]
+    return tagged[["p_id", *r1_cols]].assign(
+        bin_id=bins, combo_id=pd.arrays.IntegerArray(combo, ~found)
     )
-    r1_cols = [c for c in r1_df.columns if c != "p_id"]
-    return vjoin.select("p_id", *r1_cols, tagged["bin_id"], "combo_id")
 
 
 def fill_null_combos_random(

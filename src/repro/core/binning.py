@@ -6,9 +6,10 @@ intervals induced by the CC range endpoints. Every tuple inside a bin is
 interchangeable with respect to every CC — which is what lets the rest of
 phase I operate on the (bin, combo) count histogram instead of tuples.
 
-The bin histogram is computed with a Spark ``groupBy`` over the R1 attribute
-columns; everything downstream of it is driver-side NumPy/pandas on a table
-whose size is bounded by the attribute-domain product, not the data.
+The bin histogram is a pandas ``groupby`` (:func:`value_counts`) over the R1
+attribute columns of R1's rows, which the pipeline collects once; everything
+downstream of it is driver-side NumPy/pandas on a table whose size is
+bounded by the attribute-domain product, not the data.
 :class:`Coverage` answers, once per phase I, which (bin, combo) cells each
 CC counts; every phase-I step reads its masks instead of re-matching CCs.
 """
@@ -56,8 +57,8 @@ class Binning:
     ``bins``: one row per bin — ``bin_id``, for each numeric column its atomic
     interval lower edge (``<col>``, used as the representative value), and
     each categorical column's value, plus ``count`` (tuples in R1).
-    ``mapping``: distinct attribute combos → ``bin_id`` (joined back to R1 in
-    Spark to tag every tuple with its bin).
+    ``mapping``: distinct attribute combos → ``bin_id`` (merged with R1's rows
+    on the driver to tag every tuple with its bin).
     """
 
     attrs: list[str]
@@ -68,7 +69,7 @@ class Binning:
 
     @staticmethod
     def build(distinct_counts: pd.DataFrame, ccs: list[CC], attrs: list[str]) -> "Binning":
-        """``distinct_counts``: R1.groupBy(attrs).count() as pandas."""
+        """``distinct_counts``: ``value_counts(R1's rows, attrs)``."""
         pdf = distinct_counts.copy()
         num_cols = numeric_columns(ccs, attrs)
         breaks: dict[str, np.ndarray] = {}
@@ -126,7 +127,7 @@ class Combos:
 
     @staticmethod
     def build(active_counts: pd.DataFrame, active_cols: list[str]) -> "Combos":
-        """``active_counts``: R2.groupBy(active_cols).count() as pandas."""
+        """``active_counts``: ``value_counts(R2's rows, active_cols)``."""
         pdf = active_counts.copy()
         if active_cols:
             pdf = pdf.sort_values(active_cols).reset_index(drop=True)
@@ -194,6 +195,15 @@ class Coverage:
         r = self.rows(allowed)
         own = self.bins[r, bin_id][:, None] & self.combos[r]
         return self.count[bin_id] - own.sum(axis=0)
+
+
+def value_counts(frame: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """``frame``'s rows per distinct ``cols`` tuple, as ``cols`` + ``count``
+    (Spark's ``groupBy(cols).count()``): nulls form groups of their own, and
+    with no ``cols`` one row counts every row."""
+    if not cols:
+        return pd.DataFrame({"count": [len(frame)]})
+    return frame.groupby(cols, dropna=False).size().reset_index(name="count")
 
 
 def bin_columns(ccs: list[CC], columns: list[str]) -> list[str]:

@@ -30,8 +30,8 @@ The call returns its V_Join rows as ``R̂1`` rows (``bin_id`` and
 driver-built rows, so no later read runs the fill or phase II again. One
 table of fresh-key ranges, one per partition and one per bin of invalid
 tuples, gives each fresh household its combo, and the household copies its
-other columns from R2's smallest-key row, which the pipeline's R2
-aggregation already yields.
+other columns from R2's smallest-key row, which the pipeline takes from
+R2's collected rows.
 """
 from __future__ import annotations
 
@@ -171,7 +171,8 @@ def complete_fk(
 
     ``vjoin_df`` must carry ``p_id``, then the other R1 columns, then
     ``bin_id`` and a non-null ``combo_id`` (INVALID_COMBO for invalid
-    tuples). ``r1_hat`` is those rows without ``bin_id`` and ``combo_id``,
+    tuples), and ``r2_with_combo`` R2's ``(r2_key, combo_id)`` pairs.
+    ``r1_hat`` is the V_Join rows without ``bin_id`` and ``combo_id``,
     with the ``fk`` column added and ``p_id`` renamed to ``r1_key``.
     ``alloc`` is phase I's ``(bin_id, combo_id, count)`` table, whose rows
     place every V_Join row (every count positive): its per-combo sums size
@@ -199,7 +200,7 @@ def complete_fk(
         else _random_fn(seed, bases, r2_key, fk)
     )
     left = vjoin_df.toPandas()
-    right = r2_with_combo.select(r2_key, "combo_id").toPandas()
+    right = r2_with_combo.toPandas()
     out = fn((), left, right).rename(columns={"p_id": r1_key})
     rows = vjoin_df.drop("bin_id", "combo_id").withColumnRenamed("p_id", r1_key)
     schema = rows.withColumn(fk, F.lit(None).cast("long")).schema  # nullable FK

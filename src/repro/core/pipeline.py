@@ -1,41 +1,46 @@
 """End-to-end C-Extension solver (Figure 4): phase I + phase II.
 
-``c_extension`` wires the pieces: Spark computes the bin histogram and the
-active-combo table (which also yields R2's largest key and its
-smallest-key row, the template of fresh households), a driver-side
-phase-I strategy (hybrid or a baseline) produces the (bin, combo, count)
-allocation, Spark tags V_Join with it, R2's rows are matched to their
-combos through the broadcast combo map, and phase II completes the FKs,
-invalid tuples included, on the driver: it collects V_Join and R2's
-``(key, combo_id)`` pairs once and builds ``R̂1`` from V_Join's rows (R1's
-key, R1's other columns in R1's order, the FK), and the fresh households
-of ``R̂2`` from the fresh keys it handed out. Phase II takes the
-allocation table itself: both phase-I strategies allocate every tuple of
-every bin, so its per-combo and per-bin sums are V_Join's row counts, and
-they fix the fresh-key ranges without a Spark job to count them. The
-result is ``R̂1`` plus the (possibly augmented) ``R̂2``; a solve caches
-nothing and runs no Python UDF. The lookup tables built on the driver are
-broadcast by per-query hints; the solver reads and writes no session
-setting.
+``c_extension`` wires the pieces. Spark reads each input once: R1's and
+R2's rows are collected (``toPandas``), and everything up to the output
+DataFrames runs on the driver. pandas counts the bin histogram and the
+active-combo table (R2's largest key and its smallest-key row, the
+template of fresh households, come from R2's rows too), a phase-I
+strategy (hybrid or a baseline) produces the (bin, combo, count)
+allocation, NumPy tags V_Join's rows with it, R2's rows are matched to
+their combos by a pandas merge, and phase II completes the FKs, invalid
+tuples included: it builds ``R̂1`` from V_Join's rows (R1's key, R1's
+other columns in R1's order, the FK), and the fresh households of ``R̂2``
+from the fresh keys it handed out. Phase II takes the allocation table
+itself: both phase-I strategies allocate every tuple of every bin, so its
+per-combo and per-bin sums are V_Join's row counts, and they fix the
+fresh-key ranges without counting rows. V_Join and R2's ``(key,
+combo_id)`` pairs reach phase II as DataFrames over the driver-built rows,
+which phase II collects again. The result is ``R̂1`` plus the (possibly
+augmented) ``R̂2``; a solve caches nothing, runs no Python UDF and reads
+or writes no session setting.
 
-Per-stage wall times are recorded for the Figure-11/13 runtime tables.
+Per-stage wall times are recorded for the Figure-11/13 runtime tables:
+``read`` (the two collects, both histograms and the bin and combo
+tables), ``phase1_total``, ``fill`` (V_Join and R2's pairs) and
+``coloring`` (phase II) split ``total``.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-import pandas as pd
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from .allocation import (
     fill_null_combos_random,
     mark_null_combos_invalid,
     materialize_vjoin,
+    vjoin_schema,
 )
 from .baseline import baseline_phase1
-from .binning import Binning, Combos, active_r2_columns, bin_columns
+from .binning import Binning, Combos, active_r2_columns, bin_columns, value_counts
 from .constraints import CC, DC
 from .hybrid import Phase1Result, hybrid_phase1
 from .phase2 import complete_fk
@@ -86,28 +91,24 @@ def c_extension(
     if r1_key != "p_id":
         r1_df = r1_df.withColumnRenamed(r1_key, "p_id")
 
-    distinct_counts = r1_df.groupBy(*attrs).count().toPandas()
+    t0 = time.perf_counter()
+    r1 = r1_df.toPandas()
+    r2 = r2_df.toPandas()
+    distinct_counts = value_counts(r1, attrs)
     null_cols = [c for c in attrs if distinct_counts[c].isna().any()]
     if null_cols:
         raise ValueError(f"R1 attribute columns {null_cols} hold nulls")
     binning = Binning.build(distinct_counts, ccs, attrs)
 
     active = active_r2_columns(ccs)
-    # a struct orders by its first field: its minimum is the smallest-key row
-    row = F.struct(r2_key, *[c for c in r2_df.columns if c != r2_key])
-    aggs = [
-        F.count("*").alias("count"),
-        F.max(r2_key).alias("__max_key"),
-        F.min(row).alias("__first"),
-    ]
-    active_counts = r2_df.groupBy(*active).agg(*aggs).toPandas()
+    active_counts = value_counts(r2, active)
     if active and active_counts.empty:
         raise ValueError(f"R2 is empty but CCs have conditions on {active}")
-    max_key = active_counts.pop("__max_key").max()
-    max_key = 0 if pd.isna(max_key) else int(max_key)
-    firsts = active_counts.pop("__first").dropna()
-    r2_first = min(firsts, key=lambda r: r[r2_key], default=None)
+    keys = r2[r2_key]
+    max_key = int(keys.max()) if len(keys) else 0
+    r2_first = r2.loc[keys.idxmin()].to_dict() if len(keys) else None
     combos = Combos.build(active_counts, active)
+    t_read = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if method == "hybrid":
@@ -123,25 +124,24 @@ def c_extension(
     t_phase1 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vjoin = materialize_vjoin(spark, r1_df, binning, p1.alloc)
+    vjoin = spark.createDataFrame(
+        materialize_vjoin(r1, binning, p1.alloc), vjoin_schema(r1_df.schema)
+    )
     if method == "hybrid":
         vjoin = mark_null_combos_invalid(vjoin)
     else:
         vjoin = fill_null_combos_random(vjoin, combos, seed=seed)
-    t_fill = time.perf_counter() - t0
 
     if active:
-        # null-safe: a household with a null active value belongs to the
-        # null combo that Combos.build counted for it
-        combo_map = F.broadcast(
-            spark.createDataFrame(combos.table[[*active, "combo_id"]])
-        )
-        same = [r2_df[c].eqNullSafe(combo_map[c]) for c in active]
-        r2_with_combo = r2_df.join(combo_map, same, "inner").select(
-            r2_df["*"], combo_map["combo_id"]
-        )
+        # pandas matches null keys to null keys, as eqNullSafe does: a
+        # household with a null active value belongs to the null combo that
+        # Combos.build counted for it
+        pairs = r2.merge(combos.table[[*active, "combo_id"]], on=active)
     else:
-        r2_with_combo = r2_df.withColumn("combo_id", F.lit(0).cast("long"))
+        pairs = r2.assign(combo_id=np.int64(0))
+    pairs_schema = StructType([r2_df.schema[r2_key], StructField("combo_id", LongType())])
+    r2_with_combo = spark.createDataFrame(pairs[[r2_key, "combo_id"]], pairs_schema)
+    t_fill = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     r1_hat, r2_hat = complete_fk(
@@ -167,6 +167,7 @@ def c_extension(
     timings = dict(p1.timings)
     timings.update(
         {
+            "read": t_read,
             "phase1_total": t_phase1,
             "fill": t_fill,
             "coloring": t_coloring,

@@ -59,8 +59,10 @@ def test_baseline_has_cc_error(spark, solved_baseline, ccs_good):
 
 
 def test_result_timings_populated(solved):
-    for k in ("pairwise", "recursion", "ilp", "fill", "coloring", "total"):
+    for k in ("read", "pairwise", "recursion", "ilp", "fill", "coloring", "total"):
         assert k in solved.timings
+    split = sum(solved.timings[k] for k in ("read", "phase1_total", "fill", "coloring"))
+    assert split <= solved.timings["total"]
 
 
 def test_r1_hat_preserves_attributes(spark, db, solved):
@@ -317,45 +319,23 @@ def test_empty_r1_gives_empty_r1_hat(spark, db, ccs_good, dcs_all, method):
     pd.testing.assert_frame_equal(got, db.housing.sort_values("h_id").reset_index(drop=True))
 
 
-def _plan_nodes(df) -> list[tuple[object, tuple]]:
-    """(operator, its ancestors nearest first) for every physical operator
-    of ``df``'s executed plan, looking through adaptive plans, query stages
-    and codegen wrappers."""
-    out, todo = [], [(df._jdf.queryExecution().executedPlan(), ())]
+def _names(df) -> list[str]:
+    """The name of every physical operator of ``df``'s executed plan,
+    looking through adaptive plans, query stages and codegen wrappers."""
+    out, todo = [], [df._jdf.queryExecution().executedPlan()]
     while todo:
-        node, up = todo.pop()
+        node = todo.pop()
         name = node.nodeName()
         if name == "AdaptiveSparkPlan":
-            todo.append((node.executedPlan(), up))
-            continue
-        if name.endswith("QueryStage"):
-            todo.append((node.plan(), up))
-            continue
-        if name == "InputAdapter" or name.startswith("WholeStageCodegen"):
-            todo.append((node.child(), up))
-            continue
-        out.append((node, up))
-        todo.extend((kid, (node, *up)) for kid in _seq(node.children()))
-    return out
-
-
-def _seq(s) -> list:
-    return [s.apply(i) for i in range(s.size())]
-
-
-def _names(df) -> list[str]:
-    return [node.nodeName() for node, _ in _plan_nodes(df)]
-
-
-def _lookups(df) -> dict[frozenset, list[str]]:
-    """The columns of each leaf of ``df``'s plan that is a driver-built
-    lookup table (R1 rows carry ``p_id`` and R2 rows ``h_id``), mapped to
-    its two nearest ancestors."""
-    out = {}
-    for node, up in _plan_nodes(df):
-        cols = frozenset(a.name() for a in _seq(node.output()))
-        if node.children().isEmpty() and not {"p_id", "h_id"} & cols:
-            out[cols] = [a.nodeName() for a in up[:2]]
+            todo.append(node.executedPlan())
+        elif name.endswith("QueryStage"):
+            todo.append(node.plan())
+        elif name == "InputAdapter" or name.startswith("WholeStageCodegen"):
+            todo.append(node.child())
+        else:
+            out.append(name)
+            kids = node.children()
+            todo.extend(kids.apply(i) for i in range(kids.size()))
     return out
 
 
@@ -365,9 +345,9 @@ def _lookups(df) -> dict[frozenset, list[str]]:
 def test_solve_plan_fits_its_data(spark, db, ccs_good, dcs_all, monkeypatch, method):
     """No executed plan of V_Join, R̂1 or R̂2 holds a Python node or reads a
     cached relation: phase II runs on the driver, and R̂1 is a scan of the
-    rows it returned, at most one partition per core. The driver-built lookup tables are broadcast:
-    the bin map and the allocation ranges in V_Join's plan, the combo map
-    in the plan that matches R2's rows to their combos."""
+    rows it returned, at most one partition per core. V_Join and the pairs
+    that match R2's rows to their combos are driver-built too: their plans
+    hold no exchange, join or window."""
     seen, complete_fk = {}, pipeline.complete_fk
 
     def spy(spark, vjoin_df, r2_with_combo, *a, **k):
@@ -386,14 +366,6 @@ def test_solve_plan_fits_its_data(spark, db, ccs_good, dcs_all, monkeypatch, met
         names = _names(df)
         assert not [n for n in names if "Python" in n or "InPandas" in n]
         assert "InMemoryTableScan" not in names
-    assert not [n for n in _names(res.r1_hat) if "Join" in n or "Exchange" in n]
 
-    in_vjoin, in_r2 = _lookups(res.vjoin), _lookups(seen["r2_with_combo"])
-    assert set(in_vjoin) == {
-        frozenset({"bin_id", *res.binning.attrs}),
-        frozenset({"bin_id", "combo_id", "start", "end"}),
-    }
-    assert set(in_r2) == {frozenset({"combo_id", *res.combos.active_cols})}
-    for exchange, join in [*in_vjoin.values(), *in_r2.values()]:
-        assert exchange == "BroadcastExchange"
-        assert join.startswith("Broadcast") and join.endswith("Join")
+    for df in (res.r1_hat, res.vjoin, seen["r2_with_combo"]):
+        assert not [n for n in _names(df) if "Join" in n or "Exchange" in n or "Window" in n]
